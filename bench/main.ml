@@ -16,7 +16,10 @@
      dune exec bench/main.exe -- experiments quick experiment tables only
      dune exec bench/main.exe -- obs-micro   instrumentation rows only, to
                                              BENCH_obs.fresh.json (the
-                                             @bench-check drift gate) *)
+                                             @bench-check drift gate)
+     dune exec bench/main.exe -- store-micro M17 store-save rows; exits 1
+                                             when the 10k/1k ratio
+                                             exceeds its bound *)
 
 open Bechamel
 open Toolkit
@@ -895,6 +898,100 @@ let run_daemon_bench ~sync_rows () =
 (* The instrumentation rows alone, for the @bench-check drift gate: a
    fresh measurement written next to (never over) the tracked snapshot,
    which bench/check_drift.exe then diffs. *)
+(* ------------------------------------------------------------------ *)
+(* M17-store: one Node_store.save after one new block, on replicas of 1k
+   and 10k blocks. The block log appends only what is new, so a save
+   must not grow with the history: the @bench-check gate holds the
+   in-run ratio 10k / 1k to at most 2 (a ratio, not absolute ns, so the
+   gate means the same on any machine).                                *)
+
+let store_ratio_bound = 2.0
+let store_saves = 200
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* A store holding [n] blocks, and a function adding one more. The
+   history is written by an oracle-signed member, so a 10k-block fixture
+   costs hashes rather than 10k MSS signatures. The member's certificate
+   is signed with the CA key's last leaf, re-derived from its seed; the
+   store itself signs only the genesis, its certificate and the
+   enrolment, with leaves 0-2. *)
+let store_fixture ~dir ~n =
+  let ca_seed = "bench-store-ca" in
+  let st =
+    match
+      Cli.Node_store.init ~dir ~seed:ca_seed ~height:4
+        ~init_crdts:[ ("log", log_spec) ] ()
+    with
+    | Ok st -> st
+    | Error e -> failwith e
+  in
+  let node = st.Cli.Node_store.node in
+  let member = V.Signer.oracle ~signature_size:64 ~id:"bench-store-member" () in
+  let mcert =
+    V.Certificate.issue ~ca:st.Cli.Node_store.ca_cert
+      ~ca_signer:(V.Signer.mss ~height:4 ~used:15 ~seed:ca_seed ())
+      ~subject:member ~role:"member"
+  in
+  let t0 = V.Timestamp.of_seconds (Cli.Unix_compat.now ()) in
+  (match V.Node.append node ~now:t0 [ V.Transaction.add_user mcert ] with
+  | Ok _ -> ()
+  | Error e -> failwith (Fmt.str "%a" V.Node.pp_append_error e));
+  let far = V.Timestamp.add_ms t0 1_000_000_000L in
+  let count = ref 0 in
+  let add_one () =
+    incr count;
+    let b =
+      V.Block.create ~signer:member ~creator:mcert.V.Certificate.user_id
+        ~timestamp:(V.Timestamp.add_ms t0 (Int64.of_int (10 * !count)))
+        ~parents:(V.Hash_id.Set.elements (V.Dag.frontier (V.Node.dag node)))
+        [ tx !count ]
+    in
+    match V.Node.receive node ~now:far b with
+    | V.Node.Accepted -> ()
+    | r -> failwith (Fmt.str "fixture block: %a" V.Node.pp_receive_result r)
+  in
+  for _ = 1 to n do add_one () done;
+  (match Cli.Node_store.save st with Ok () -> () | Error e -> failwith e);
+  (st, add_one)
+
+(* Median wall time of [store_saves] saves, each after one new block. *)
+let save_ns ~n =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "vegvisir-bench-store-%d-%d" n (Unix.getpid ()))
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then remove_tree dir)
+    (fun () ->
+      let st, add_one = store_fixture ~dir ~n in
+      let samples =
+        Array.init store_saves (fun _ ->
+            add_one ();
+            let t0 = Cli.Unix_compat.mono_ms () in
+            (match Cli.Node_store.save st with Ok () -> () | Error e -> failwith e);
+            1e6 *. (Cli.Unix_compat.mono_ms () -. t0))
+      in
+      Array.sort Float.compare samples;
+      samples.(store_saves / 2))
+
+(* Print both rows; [false] if the ratio breaks the bound. *)
+let run_store_micro () =
+  print_endline "== M17-store (Node_store.save after one new block, median ns) ==";
+  let small = save_ns ~n:1_000 and large = save_ns ~n:10_000 in
+  let ratio = large /. small in
+  Printf.printf "  %-42s %14.1f ns/save\n" "M17-store/save-1-new@1k" small;
+  Printf.printf "  %-42s %14.1f ns/save\n" "M17-store/save-1-new@10k" large;
+  let ok = ratio <= store_ratio_bound in
+  Printf.printf "  10k / 1k = %.2f (bound %.1f) %s\n" ratio store_ratio_bound
+    (if ok then "ok" else "REGRESSED");
+  ok
+
 let run_obs_micro () =
   print_endline "== obs micro (ns per call, OLS estimate) ==";
   let rows =
@@ -934,6 +1031,7 @@ let run_micro () =
   print_rows sync_rows;
   print_endline "== M13-daemon (loopback exchange sessions vs a forked daemon) ==";
   run_daemon_bench ~sync_rows ();
+  ignore (run_store_micro () : bool);
   print_newline ()
 
 let () =
@@ -946,6 +1044,7 @@ let () =
     run_sync_micro ();
     exit 0
   end;
+  if List.mem "store-micro" args then exit (if run_store_micro () then 0 else 1);
   let micro_only = List.mem "micro" args in
   let experiments_only = List.mem "experiments" args in
   if not experiments_only then run_micro ();

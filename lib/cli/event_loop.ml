@@ -197,6 +197,7 @@ type anti_entropy = {
   every_ms : float;
   ae_peers : ae_peer array;
   dial_timeout_s : float;
+  mutable ae_timer : Timer_wheel.id;  (* the one armed round *)
 }
 
 let backoff_cap_doublings = 6
@@ -225,7 +226,7 @@ type t = {
   mutable stop_requested : bool;
   mutable stop_initiated : bool;
   mutable stop_deadline : float;
-  mutable dirty : bool;  (* Deliver happened since the last save *)
+  mutable dirty : bool;  (* a delivered block became resident since the last save *)
   mutable fatal : string option;
   mutable idle_armed : bool;
   mutable n_accepted : int;
@@ -537,7 +538,10 @@ let apply_effect t s (eff : Peer_engine.effect_) =
       let n = List.length blocks in
       s.delivered <- s.delivered + n;
       t.n_delivered <- t.n_delivered + n;
-      t.dirty <- true
+      (* Only a block that became resident gives the store anything to
+         save; an empty or all-rejected delivery does not. *)
+      if List.exists (fun (b : Block.t) -> Dag.mem dag b.Block.hash) blocks then
+        t.dirty <- true
   end
   | Peer_engine.Session_done pull_stats -> s.pulled <- Some pull_stats
   | Peer_engine.Trace ev -> begin
@@ -1269,15 +1273,25 @@ let set_anti_entropy ?(dial_timeout_s = 5.) t ~every_ms ~peers =
         Obs.Registry.gauge reg ~node:label "daemon.dial_consecutive_failures";
     }
   in
-  t.ae <-
-    Some
-      { every_ms; ae_peers = Array.of_list (List.map mk peers); dial_timeout_s };
-  let w, _id =
+  (* A second call replaces the first: its armed round is cancelled, so
+     exactly one timer chain runs. *)
+  (match t.ae with
+  | Some ae -> t.wheel <- Timer_wheel.cancel t.wheel ae.ae_timer
+  | None -> ());
+  let w, ae_timer =
     Timer_wheel.schedule t.wheel
       ~at_ms:(Unix_compat.mono_ms () +. every_ms)
       Anti_entropy
   in
-  t.wheel <- w
+  t.wheel <- w;
+  t.ae <-
+    Some
+      {
+        every_ms;
+        ae_peers = Array.of_list (List.map mk peers);
+        dial_timeout_s;
+        ae_timer;
+      }
 
 let has_session_with t label =
   IntMap.exists (fun _ s -> String.equal s.label label) t.sessions
@@ -1394,12 +1408,13 @@ let fire t ev =
       if not t.stop_requested then begin
         if IntMap.cardinal t.sessions < t.config.session_budget then
           dial_next t ae;
-        let w, _id =
+        let w, id =
           Timer_wheel.schedule t.wheel
             ~at_ms:(Unix_compat.mono_ms () +. ae.every_ms)
             Anti_entropy
         in
-        t.wheel <- w
+        t.wheel <- w;
+        ae.ae_timer <- id
       end
   end
   | Idle_sweep ->

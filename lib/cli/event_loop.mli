@@ -173,7 +173,9 @@ val set_anti_entropy :
     Consecutive connect failures back a peer off exponentially (2, 4,
     … up to 64 periods), tracked per peer in the
     [daemon.dial_consecutive_failures] gauge and globally in the
-    [daemon.dial_failures] counter; one successful dial resets it. *)
+    [daemon.dial_failures] counter; one successful dial resets it.
+    Calling it again replaces the peer set and restarts the period; one
+    timer chain runs, never two. *)
 
 val dials : t -> string list
 (** The labels of the most recent anti-entropy dial attempts (successful

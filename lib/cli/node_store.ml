@@ -2,10 +2,24 @@ open Vegvisir
 module Schema = Vegvisir_crdt.Schema
 module Obs = Vegvisir_obs
 
-type t = { dir : string; node : Node.t; ca_cert : Certificate.t }
+(* The MSS key behind a node: [signer] is the reserving wrapper built by
+   [reserving_signer], and [reserved] is the leaf count last made
+   durable in the key file (shared with that wrapper). *)
+type key = { height : int; seed : string; signer : Signer.t; reserved : int ref }
+
+type state = {
+  mutable key : key;  (* replaced by [rotate] *)
+  mutable saved : int;  (* Dag.insertion_count already in chain.log *)
+  mutable journal : Buffer.t option;  (* Some: buffered telemetry *)
+}
+
+type t = { dir : string; node : Node.t; ca_cert : Certificate.t; state : state }
 
 let ( let* ) = Result.bind
 let ( // ) = Filename.concat
+
+let log_file = "chain.log"
+let key_file = "key"
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: every node directory keeps an append-only trace.jsonl of
@@ -19,13 +33,6 @@ let trace_file = "trace.jsonl"
 let trace_path t = t.dir // trace_file
 let node_name t = Hash_id.short (Node.user_id t.node)
 
-(* Buffered journaling: a long-lived daemon multiplexing dozens of
-   sessions would otherwise open/append/close trace.jsonl once per
-   event. When a directory opts in, encoded lines accumulate here and
-   reach disk on [flush_trace] (and on every [save]). Keyed by dir, like
-   the signer registry: process-lifetime cache only. *)
-let trace_buffers : (string, Buffer.t) Hashtbl.t = Hashtbl.create 4
-
 let append_lines t lines =
   match
     Out_channel.with_open_gen
@@ -36,8 +43,17 @@ let append_lines t lines =
   | () -> ()
   | exception Sys_error _ -> ()
 
+(* Buffered journaling: a long-lived daemon multiplexing dozens of
+   sessions would otherwise open/append/close trace.jsonl once per
+   event. When a handle opts in, encoded lines accumulate in its buffer
+   and reach disk on [flush_trace], on every save that writes, and
+   whenever the buffer passes [journal_flush_bytes] — saves are rare
+   while nothing new arrives, and the buffer must not grow with the
+   sessions in between. *)
+let journal_flush_bytes = 64 * 1024
+
 let flush_trace t =
-  match Hashtbl.find_opt trace_buffers t.dir with
+  match t.state.journal with
   | None -> ()
   | Some buf ->
     if Buffer.length buf > 0 then begin
@@ -48,35 +64,33 @@ let flush_trace t =
 
 let buffer_telemetry t on =
   if on then begin
-    if not (Hashtbl.mem trace_buffers t.dir) then
-      Hashtbl.replace trace_buffers t.dir (Buffer.create 4096)
+    if Option.is_none t.state.journal then t.state.journal <- Some (Buffer.create 4096)
   end
   else begin
     flush_trace t;
-    Hashtbl.remove trace_buffers t.dir
+    t.state.journal <- None
   end
 
 let record_all t events =
   match events with
   | [] -> ()
-  | _ :: _ -> begin
+  | _ :: _ ->
     let ts = Unix_compat.now_ms () in
-    match Hashtbl.find_opt trace_buffers t.dir with
-    | Some buf ->
+    let add buf =
       List.iter
         (fun ev ->
           Buffer.add_string buf (Obs.Event.to_json ~ts ev);
           Buffer.add_char buf '\n')
         events
+    in
+    match t.state.journal with
+    | Some buf ->
+      add buf;
+      if Buffer.length buf >= journal_flush_bytes then flush_trace t
     | None ->
       let buf = Buffer.create 256 in
-      List.iter
-        (fun ev ->
-          Buffer.add_string buf (Obs.Event.to_json ~ts ev);
-          Buffer.add_char buf '\n')
-        events;
+      add buf;
       append_lines t (Buffer.contents buf)
-  end
 
 let record t ev = record_all t [ ev ]
 
@@ -92,67 +106,165 @@ let read_file path =
   | contents -> Ok contents
   | exception Sys_error msg -> Error msg
 
-let write_file path contents =
-  match Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents) with
-  | () -> Ok ()
-  | exception Sys_error msg -> Error msg
+(* ------------------------------------------------------------------ *)
+(* The key file and the write-ahead leaf reservation.
 
-(* Key file: "mss <height> <used> <seed-hex>\n". The seed is secret key
-   material; a real deployment would keep it in a TEE (paper §V). *)
-let encode_key ~height ~used ~seed =
-  Printf.sprintf "mss %d %d %s\n" height used (Vegvisir_crypto.Hex.encode seed)
+   Key file: "mss <height> <reserved> <seed-hex>\n". The seed is secret
+   key material; a real deployment would keep it in a TEE (paper §V).
+   [reserved] bounds every leaf index the key has ever signed with: the
+   signer persists [reserved >= i + 1] (temp file, fsync, rename) before
+   leaf [i] signs anything, and a load resumes at [reserved]. A crash can
+   therefore waste reserved leaves but never hand one out twice. *)
+
+let encode_key ~height ~reserved ~seed =
+  Printf.sprintf "mss %d %d %s\n" height reserved (Vegvisir_crypto.Hex.encode seed)
 
 let decode_key contents =
   match String.split_on_char ' ' (String.trim contents) with
-  | [ "mss"; height; used; seed_hex ] -> begin
+  | [ "mss"; height; reserved; seed_hex ] -> begin
     match
-      (int_of_string_opt height, int_of_string_opt used, Vegvisir_crypto.Hex.is_hex seed_hex)
+      ( int_of_string_opt height,
+        int_of_string_opt reserved,
+        Vegvisir_crypto.Hex.is_hex seed_hex )
     with
-    | Some height, Some used, true ->
-      Ok (height, used, Vegvisir_crypto.Hex.decode seed_hex)
+    | Some height, Some reserved, true ->
+      Ok (height, reserved, Vegvisir_crypto.Hex.decode seed_hex)
     | _ -> Error "malformed key file"
   end
   | _ -> Error "malformed key file"
 
-let now_ts () = Timestamp.of_seconds (Unix_compat.now ())
+let write_key ~dir k =
+  Unix_compat.replace_file_durable (dir // key_file)
+    (encode_key ~height:k.height ~reserved:!(k.reserved) ~seed:k.seed)
 
-let signer_used (signer : Signer.t) ~height =
-  match signer.Signer.remaining () with
-  | Some r -> (1 lsl height) - r
-  | None -> 0
+(* Reservations run ahead of the signer by 1, 2, 4, then at most
+   [max_ahead] leaves: a handle that signs once wastes no leaf, and a
+   long-lived signer pays one durable write (two fsyncs) per [max_ahead]
+   signatures, at the price of at most [max_ahead - 1] leaves lost when
+   the handle dies. *)
+let max_ahead = 8
 
-let save_parts ~dir ~node ~ca_cert ~signer ~height ~seed =
-  let* () = write_file (dir // "chain.dag") (Dag.to_string (Node.dag node)) in
-  let* () =
-    write_file (dir // "key")
-      (encode_key ~height ~used:(signer_used signer ~height) ~seed)
+(* Wrap the MSS signer so each signature first reserves its leaf on
+   disk. A failed reservation raises [Sys_error] instead of signing;
+   [signing] turns it back into an [Error] at the store's entry points. *)
+let reserving_signer ~dir ~height ~seed ~reserved =
+  let inner = Signer.mss ~height ~used:reserved ~seed () in
+  let k = { height; seed; signer = inner; reserved = ref reserved } in
+  let capacity = 1 lsl height in
+  let ahead = ref 1 in
+  let sign msg =
+    let leaf = capacity - Option.value (inner.Signer.remaining ()) ~default:0 in
+    if leaf < capacity && leaf >= !(k.reserved) then begin
+      let prev = !(k.reserved) in
+      k.reserved := Int.min capacity (leaf + !ahead);
+      match write_key ~dir k with
+      | Ok () -> ahead := Int.min max_ahead (2 * !ahead)
+      | Error msg ->
+        k.reserved := prev;
+        raise (Sys_error ("key reservation failed: " ^ msg))
+    end;
+    inner.Signer.sign msg
   in
-  let* () = write_file (dir // "cert") (Certificate.to_string (Node.cert node)) in
-  write_file (dir // "ca.cert") (Certificate.to_string ca_cert)
+  { k with signer = { inner with Signer.sign } }
 
-(* The signer is embedded in the node; to persist its position we must
-   keep it at hand. We stash (signer, height, seed) per directory in a
-   registry keyed by dir — loads re-derive them, so the registry is only
-   a cache for the lifetime of the process. *)
-let registry : (string, Signer.t * int * string) Hashtbl.t = Hashtbl.create 8
+let signing f =
+  match f () with v -> Ok v | exception Sys_error msg -> Error msg
 
+(* ------------------------------------------------------------------ *)
+(* The block log. chain.log is a sequence of frames
+
+     u32 length (big-endian) | 32-byte block hash | Block.encode (length bytes)
+
+   appended in insertion order, so parents precede children. Decoding a
+   block recomputes its hash, which makes the framed hash a checksum. *)
+
+let frame_header = 4 + Hash_id.size
+
+let add_frame buf (b : Block.t) =
+  let enc = Block.to_string b in
+  Wire.put_u32 buf (String.length enc);
+  Buffer.add_string buf (Hash_id.to_raw b.Block.hash);
+  Buffer.add_string buf enc
+
+(* The valid frames of a log image and the length of the prefix they
+   span. A final frame that is incomplete or fails its checksum is a torn
+   append: the prefix before it is the log. Any other bad frame is
+   corruption. A frame that runs past the end of the file although the
+   bytes present already hold the whole block it names has a damaged
+   length, not a torn tail. *)
+let parse_log data =
+  let len = String.length data in
+  let hash_at off = String.sub data (off + 4) Hash_id.size in
+  let rec go off acc =
+    if len - off < frame_header then Ok (List.rev acc, off)
+    else begin
+      let n = Wire.get_u32 { Wire.data; pos = off } in
+      let body = off + frame_header in
+      let named (b : Block.t) = String.equal (Hash_id.to_raw b.Block.hash) (hash_at off) in
+      if n <= len - body then
+        match Wire.decode_string Block.decode (String.sub data body n) with
+        | Some b when named b -> go (body + n) (b :: acc)
+        | Some _ | None ->
+          if body + n = len then Ok (List.rev acc, off)
+          else Error (Printf.sprintf "%s: corrupt frame at byte %d" log_file off)
+      else begin
+        match Block.decode { Wire.data; pos = body } with
+        | b when named b ->
+          Error (Printf.sprintf "%s: bad frame length at byte %d" log_file off)
+        | _ -> Ok (List.rev acc, off)
+        | exception (Wire.Malformed _ | Invalid_argument _) -> Ok (List.rev acc, off)
+      end
+    end
+  in
+  go 0 []
+
+(* Read the log, cutting a torn tail off the file so later appends
+   continue a well-formed sequence. *)
+let read_log dir =
+  let path = dir // log_file in
+  let* data = read_file path in
+  let* blocks, valid = parse_log data in
+  let* () =
+    if valid < String.length data then Unix_compat.truncate_file path valid else Ok ()
+  in
+  Ok blocks
+
+(* Append everything inserted since the last save, in one write. *)
 let save t =
-  match Hashtbl.find_opt registry t.dir with
-  | None -> Error "node not registered (load or init first)"
-  | Some (signer, height, seed) -> begin
-    match save_parts ~dir:t.dir ~node:t.node ~ca_cert:t.ca_cert ~signer ~height ~seed with
-    | Ok () ->
-      record t
-        (Obs.Event.Store_saved
-           { node = node_name t; blocks = Dag.cardinal (Node.dag t.node) });
-      (* A save is a durability point: buffered telemetry reaches disk
-         with the data it describes. *)
-      flush_trace t;
-      Ok ()
-    | Error _ as e -> e
+  let dag = Node.dag t.node in
+  let count = Dag.insertion_count dag in
+  if count = t.state.saved then Ok ()
+  else begin
+    let fresh = Dag.inserted_since dag t.state.saved in
+    let buf = Buffer.create 4096 in
+    List.iter (add_frame buf) fresh;
+    let* () = Unix_compat.append_file (t.dir // log_file) (Buffer.contents buf) in
+    t.state.saved <- count;
+    record t
+      (Obs.Event.Store_saved { node = node_name t; blocks = List.length fresh });
+    (* A save is a durability point: buffered telemetry reaches disk
+       with the data it describes. *)
+    flush_trace t;
+    Ok ()
   end
 
-let exists dir = Sys.file_exists (dir // "chain.dag")
+(* cert and ca.cert change only at init, enrol and rotate. *)
+let write_certs t =
+  let* () =
+    Unix_compat.replace_file_durable (t.dir // "cert")
+      (Certificate.to_string (Node.cert t.node))
+  in
+  Unix_compat.replace_file_durable (t.dir // "ca.cert") (Certificate.to_string t.ca_cert)
+
+let now_ts () = Timestamp.of_seconds (Unix_compat.now ())
+
+let make ?(saved = 0) ~dir ~node ~ca_cert ~key () =
+  { dir; node; ca_cert; state = { key; saved; journal = None } }
+
+(* A directory holds a node once its key exists: the key is written
+   before anything is signed with it, so even an init that crashed before
+   its first save must not be repeated with a fresh reservation. *)
+let exists dir = Sys.file_exists (dir // key_file) || Sys.file_exists (dir // log_file)
 
 let ensure_dir dir =
   if Sys.file_exists dir then
@@ -167,17 +279,20 @@ let init ~dir ~seed ?(height = 10) ?(role = "ca") ?(init_crdts = []) () =
   let* () = ensure_dir dir in
   if exists dir then Error (dir ^ " already contains a node")
   else begin
-    let signer = Signer.mss ~height ~seed () in
-    let cert = Certificate.self_signed ~signer ~role in
+    let key = reserving_signer ~dir ~height ~seed ~reserved:0 in
+    let signer = key.signer in
     let extra =
       List.map (fun (name, spec) -> Transaction.create_crdt ~name spec) init_crdts
     in
-    let genesis = Node.genesis_block ~signer ~cert ~timestamp:(now_ts ()) ~extra () in
+    let* cert, genesis =
+      signing (fun () ->
+          let cert = Certificate.self_signed ~signer ~role in
+          (cert, Node.genesis_block ~signer ~cert ~timestamp:(now_ts ()) ~extra ()))
+    in
     let node = Node.create ~signer ~cert () in
     match Node.receive node ~now:(Timestamp.add_ms (now_ts ()) 1L) genesis with
     | Node.Accepted ->
-      Hashtbl.replace registry dir (signer, height, seed);
-      let t = { dir; node; ca_cert = cert } in
+      let t = make ~dir ~node ~ca_cert:cert ~key () in
       record t
         (Obs.Event.Block
            {
@@ -186,6 +301,7 @@ let init ~dir ~seed ?(height = 10) ?(role = "ca") ?(init_crdts = []) () =
              block = genesis.Block.hash;
              peer = None;
            });
+      let* () = write_certs t in
       let* () = save t in
       Ok t
     | (Node.Duplicate | Node.Buffered _ | Node.Rejected _) as r ->
@@ -193,30 +309,29 @@ let init ~dir ~seed ?(height = 10) ?(role = "ca") ?(init_crdts = []) () =
   end
 
 let load ~dir =
-  if not (exists dir) then Error (dir ^ " does not contain a node")
+  if not (Sys.file_exists (dir // log_file)) then Error (dir ^ " does not contain a node")
   else begin
-    let* key_raw = read_file (dir // "key") in
-    let* height, used, seed = decode_key key_raw in
+    let* key_raw = read_file (dir // key_file) in
+    let* height, reserved, seed = decode_key key_raw in
     let* cert_raw = read_file (dir // "cert") in
     let* ca_raw = read_file (dir // "ca.cert") in
-    let* dag_raw = read_file (dir // "chain.dag") in
     let* cert =
       Option.to_result ~none:"malformed certificate" (Certificate.of_string cert_raw)
     in
     let* ca_cert =
       Option.to_result ~none:"malformed CA certificate" (Certificate.of_string ca_raw)
     in
-    let* dag = Option.to_result ~none:"corrupt chain.dag" (Dag.of_string dag_raw) in
-    let signer = Signer.mss ~height ~used ~seed () in
-    if not (String.equal signer.Signer.public cert.Certificate.public) then
+    let* blocks = read_log dir in
+    let key = reserving_signer ~dir ~height ~seed ~reserved in
+    if not (String.equal key.signer.Signer.public cert.Certificate.public) then
       Error "key file does not match certificate"
     else begin
-      let node = Node.create ~signer ~cert () in
+      let node = Node.create ~signer:key.signer ~cert () in
       Node.receive_seq node
         ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
-        (Dag.topo_seq dag);
-      Hashtbl.replace registry dir (signer, height, seed);
-      let t = { dir; node; ca_cert } in
+        (List.to_seq blocks);
+      (* Everything replayed is already in the log. *)
+      let t = make ~saved:(Dag.insertion_count (Node.dag node)) ~dir ~node ~ca_cert ~key () in
       record t
         (Obs.Event.Store_loaded
            { node = node_name t; blocks = Dag.cardinal (Node.dag node) });
@@ -229,33 +344,37 @@ let enroll ~ca_dir ~dir ~seed ?(height = 10) ?(role = "member") () =
   let* () = ensure_dir dir in
   if exists dir then Error (dir ^ " already contains a node")
   else begin
-    match Hashtbl.find_opt registry ca_dir with
-    | None -> Error "CA signer not available"
-    | Some (ca_signer, _, _) ->
-      let subject = Signer.mss ~height ~seed () in
-      let cert = Certificate.issue ~ca:ca.ca_cert ~ca_signer ~subject ~role in
-      (* Enrolment goes on the CA's chain. *)
-      let* _block =
-        Result.map_error
-          (Fmt.str "enrolment append failed: %a" Node.pp_append_error)
-          (Node.append ca.node ~now:(now_ts ()) [ Transaction.add_user cert ])
-      in
-      let* () = save ca in
-      let node = Node.create ~signer:subject ~cert () in
-      Node.receive_seq node
-        ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
-        (Dag.topo_seq (Node.dag ca.node));
-      Hashtbl.replace registry dir (subject, height, seed);
-      let t = { dir; node; ca_cert = ca.ca_cert } in
-      let* () = save t in
-      Ok t
+    let key = reserving_signer ~dir ~height ~seed ~reserved:0 in
+    let* cert =
+      signing (fun () ->
+          Certificate.issue ~ca:ca.ca_cert ~ca_signer:ca.state.key.signer
+            ~subject:key.signer ~role)
+    in
+    (* Enrolment goes on the CA's chain. *)
+    let* appended =
+      signing (fun () -> Node.append ca.node ~now:(now_ts ()) [ Transaction.add_user cert ])
+    in
+    let* _block =
+      Result.map_error (Fmt.str "enrolment append failed: %a" Node.pp_append_error) appended
+    in
+    let* () = save ca in
+    let node = Node.create ~signer:key.signer ~cert () in
+    Node.receive_seq node
+      ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
+      (Dag.topo_seq (Node.dag ca.node));
+    let t = make ~dir ~node ~ca_cert:ca.ca_cert ~key () in
+    let* () = write_key ~dir key in
+    let* () = write_certs t in
+    let* () = save t in
+    Ok t
   end
 
 let append t ~crdt ~op args =
   match Node.prepare_transaction t.node ~crdt ~op args with
   | Error e -> Error (Schema.error_to_string e)
   | Ok tx -> begin
-    match Node.append t.node ~now:(now_ts ()) [ tx ] with
+    let* appended = signing (fun () -> Node.append t.node ~now:(now_ts ()) [ tx ]) in
+    match appended with
     | Error e -> Error (Fmt.str "%a" Node.pp_append_error e)
     | Ok block ->
       record t
@@ -270,31 +389,36 @@ let append t ~crdt ~op args =
       Ok block
   end
 
-let remaining_signatures t =
-  match Hashtbl.find_opt registry t.dir with
-  | None -> None
-  | Some (signer, _, _) -> signer.Signer.remaining ()
+let remaining_signatures t = t.state.key.signer.Signer.remaining ()
 
 let rotate ~ca_dir ~dir ~seed ?(height = 10) () =
   let* ca = load ~dir:ca_dir in
   let* t = load ~dir in
-  match Hashtbl.find_opt registry ca_dir with
-  | None -> Error "CA signer not available"
-  | Some (ca_signer, _, _) ->
-    let fresh = Signer.mss ~height ~seed () in
-    let role = (Node.cert t.node).Certificate.role in
-    let cert = Certificate.issue ~ca:ca.ca_cert ~ca_signer ~subject:fresh ~role in
-    (match Node.rotate_key t.node ~now:(now_ts ()) ~signer:fresh ~cert with
-    | Error e -> Error (Fmt.str "rotation failed: %a" Node.pp_append_error e)
-    | Ok _block ->
-      Hashtbl.replace registry dir (fresh, height, seed);
-      let* () = save t in
-      (* The CA should learn the rotation block too. *)
-      Node.receive_seq ca.node
-        ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
-        (Dag.topo_seq (Node.dag t.node));
-      let* () = save ca in
-      Ok t)
+  let fresh = reserving_signer ~dir ~height ~seed ~reserved:0 in
+  let role = (Node.cert t.node).Certificate.role in
+  let* cert =
+    signing (fun () ->
+        Certificate.issue ~ca:ca.ca_cert ~ca_signer:ca.state.key.signer
+          ~subject:fresh.signer ~role)
+  in
+  let* rotated =
+    signing (fun () -> Node.rotate_key t.node ~now:(now_ts ()) ~signer:fresh.signer ~cert)
+  in
+  match rotated with
+  | Error e -> Error (Fmt.str "rotation failed: %a" Node.pp_append_error e)
+  | Ok _block ->
+    (* The rotation block (signed by the old key) goes to the log first;
+       then the new key replaces the old one, and its certificate follows. *)
+    let* () = save t in
+    t.state.key <- fresh;
+    let* () = write_key ~dir fresh in
+    let* () = write_certs t in
+    (* The CA should learn the rotation block too. *)
+    Node.receive_seq ca.node
+      ~now:(Timestamp.add_ms (now_ts ()) Validation.default_max_skew_ms)
+      (Dag.topo_seq (Node.dag t.node));
+    let* () = save ca in
+    Ok t
 
 let sync t ~from ~mode =
   let peer = node_name from in

@@ -2,20 +2,50 @@
     `vegvisir-cli` tool.
 
     A {e node directory} holds:
-    - [chain.dag] — the DAG replica ({!Vegvisir.Dag.to_string});
-    - [key] — the node's MSS key state: seed, tree height, and the count
-      of consumed one-time leaves (rewinding a hash-based key would be
-      catastrophic, so the count is persisted on every save);
+    - [chain.log] — the DAG replica as an append-only block log (below);
+    - [key] — the node's MSS key state: ["mss <height> <reserved>
+      <seed-hex>"], where [reserved] is the write-ahead leaf reservation
+      (below);
     - [cert] and [ca.cert] — the node's certificate and the chain
-      owner's (CA) certificate.
+      owner's (CA) certificate, written only when they change (init,
+      enrolment, rotation);
+    - [trace.jsonl] — the telemetry journal ({!record}).
 
     Application state is not stored: it is deterministically rebuilt from
-    the DAG on load ({!Vegvisir.Csm.rebuild}). *)
+    the DAG on load ({!Vegvisir.Csm.rebuild}).
+
+    {b Block log.} [chain.log] is a sequence of frames, each
+
+    {v u32 length (big-endian) | 32-byte block hash | Block.encode bytes (length) v}
+
+    in the order blocks entered the replica ({!Vegvisir.Dag.inserted_since}),
+    so parents precede children. {!save} appends only the blocks inserted
+    since the previous save, in one write; a save with nothing new does no
+    I/O. The log is not fsynced: a lost tail is re-fetched from peers.
+    {!load} replays the frames through full validation
+    ({!Vegvisir.Node.receive_seq}). Decoding a block recomputes its hash,
+    so the framed hash is a checksum. A final frame that is incomplete or
+    fails it is a torn append: load truncates it off the file. A bad frame
+    anywhere else makes load fail.
+
+    {b Leaf reservation.} A W-OTS leaf must never sign twice. Before leaf
+    [i] signs anything, the node's signer makes [reserved >= i + 1]
+    durable in [key] (temp file, fsync, rename, directory fsync); {!load}
+    resumes signing at [reserved]. So at every save and every signature
+    [reserved >= used], and a crash at any point can waste leaves but
+    never reuse one. A handle reserves 1, 2, 4, then 8 leaves at a time,
+    so a one-shot signer wastes nothing and a long-lived one wastes at
+    most 7. One process at a time may sign for a directory. *)
+
+type state
+(** The handle's key (signer, height, seed, reservation), the count of
+    blocks already in the log, and the telemetry buffer. *)
 
 type t = {
   dir : string;
   node : Vegvisir.Node.t;
   ca_cert : Vegvisir.Certificate.t;
+  state : state;
 }
 
 val init :
@@ -44,7 +74,14 @@ val enroll :
     Both directories are saved. *)
 
 val load : dir:string -> (t, string) result
+(** Open a node directory: read the key and certificates, read
+    [chain.log] (truncating a torn final frame) and replay it through
+    full validation. *)
+
 val save : t -> (unit, string) result
+(** Append the blocks inserted since the last save to [chain.log] and
+    record a [Store_saved] event counting them. No I/O when nothing is
+    new. *)
 
 val append :
   t ->
@@ -120,8 +157,9 @@ val buffer_telemetry : t -> bool -> unit
     buffered mode: {!record} accumulates encoded lines in memory instead
     of opening [trace.jsonl] once per event — what a long-lived daemon
     multiplexing dozens of sessions wants. Buffered lines reach disk on
-    {!flush_trace} and on every {!save}. [buffer_telemetry t false]
-    flushes and returns to write-through. *)
+    {!flush_trace}, on every {!save} that writes blocks, and whenever
+    64 KiB have accumulated. [buffer_telemetry t false] flushes and
+    returns to write-through. *)
 
 val flush_trace : t -> unit
 (** Write any buffered journal lines to [trace.jsonl] now. No-op in

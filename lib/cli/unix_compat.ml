@@ -397,6 +397,42 @@ let wait_ready ~listeners ~read ~write ~timeout_s =
   | exception Unix.Unix_error (e, fn, _) ->
     Error (fn ^ ": " ^ Unix.error_message e)
 
+(* ------------------------------------------------------------------ *)
+(* Files                                                                *)
+
+let write_all fd s =
+  let n = String.length s in
+  let rec go off =
+    if off < n then go (off + Unix.write_substring fd s off (n - off))
+  in
+  go 0
+
+let with_fd path flags perm f =
+  let fd = Unix.openfile path (Unix.O_CLOEXEC :: flags) perm in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f fd)
+
+let append_file path data =
+  guard (fun () ->
+      with_fd path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
+        (fun fd -> write_all fd data))
+
+let replace_file_durable path data =
+  guard (fun () ->
+      let tmp = path ^ ".tmp" in
+      with_fd tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 (fun fd ->
+          write_all fd data;
+          Unix.fsync fd);
+      Unix.rename tmp path;
+      (* The rename itself is durable only once the directory is. Some
+         filesystems refuse fsync on a directory; the file data above is
+         synced regardless. *)
+      with_fd (Filename.dirname path) [ Unix.O_RDONLY ] 0 (fun fd ->
+          match Unix.fsync fd with
+          | () -> ()
+          | exception Unix.Unix_error (Unix.EINVAL, _, _) -> ()))
+
+let truncate_file path len = guard (fun () -> Unix.truncate path len)
+
 (* SIGINT/SIGTERM -> one call of [f] per delivery; the daemon uses this
    to flip its drain flag. Handlers run between OCaml allocations, so
    [f] must only set flags — never do IO. *)

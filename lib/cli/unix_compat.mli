@@ -176,6 +176,21 @@ val decode_frame_header : Bytes.t -> (int, string) result
 (** Payload length from the first {!frame_header_bytes} bytes; [Error]
     when negative or over {!max_frame}. *)
 
+(** {1 Files} *)
+
+val append_file : string -> string -> (unit, string) result
+(** Append [data] to the file at [path] (created 0o644 if absent) through
+    one [O_APPEND] descriptor. No fsync. *)
+
+val replace_file_durable : string -> string -> (unit, string) result
+(** Replace the file at [path] with [data] so that a crash leaves either
+    the old or the new contents, and the new contents are on stable
+    storage when this returns: write [path ^ ".tmp"] (0o600), fsync it,
+    rename it over [path], fsync the directory. *)
+
+val truncate_file : string -> int -> (unit, string) result
+(** Cut the file at [path] down to [len] bytes. *)
+
 (** {1 Signals} *)
 
 val install_stop_handler : (unit -> unit) -> unit

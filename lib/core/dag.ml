@@ -30,6 +30,11 @@ type t = {
   frontier : HSet.t;
   heights : int HMap.t; (* resident and archived *)
   archived : HSet.t; (* pruned: hash+height retained, body dropped *)
+  stubs : Hash_id.t list HMap.t;
+      (* archived hash -> its parent hashes: the hash-only remnant of a
+         pruned block that lets witness credit walk through it *)
+  inserted : Hash_id.t list; (* every hash ever added, newest first *)
+  inserted_count : int; (* List.length inserted, in O(1) *)
   genesis : Block.t option;
   bytes : int;
   max_height_ : int; (* cached: max over [heights], 0 when empty *)
@@ -75,6 +80,9 @@ let empty =
     frontier = HSet.empty;
     heights = HMap.empty;
     archived = HSet.empty;
+    stubs = HMap.empty;
+    inserted = [];
+    inserted_count = 0;
     genesis = None;
     bytes = 0;
     max_height_ = 0;
@@ -109,25 +117,34 @@ let missing_parents t (b : Block.t) =
    is recorded at x, c is recorded at every resident ancestor of x" makes
    the cutoff sound and each (block, creator) pair is inserted at most
    once over the DAG's lifetime, so maintenance is amortized O(1) per
-   (ancestor, new creator). *)
-let credit_witness witnessed blocks (b : Block.t) =
+   (ancestor, new creator). An archived block holds no entry of its own,
+   but its parent stub carries the walk through to the resident ancestors
+   beyond it (each stub crossed at most once per walk); only a hash with
+   no stub — unknown, or archived by {!decode} — ends knowledge. *)
+let credit_witness witnessed blocks stubs (b : Block.t) =
   let c = b.Block.creator in
-  let rec up acc stack =
+  let rec up acc crossed stack =
     match stack with
     | [] -> acc
     | x :: rest -> begin
       match HMap.find_opt x blocks with
-      | None -> up acc rest (* archived or unknown: knowledge ends here *)
+      | None -> begin
+        match HMap.find_opt x stubs with
+        | Some ps when not (HSet.mem x crossed) ->
+          up acc (HSet.add x crossed) (List.rev_append ps rest)
+        | Some _ | None -> up acc crossed rest
+      end
       | Some (xb : Block.t) ->
         let cur = Option.value (HMap.find_opt x acc) ~default:HSet.empty in
-        if HSet.mem c cur then up acc rest
+        if HSet.mem c cur then up acc crossed rest
         else
           up
             (HMap.add x (HSet.add c cur) acc)
+            crossed
             (List.rev_append xb.Block.parents rest)
     end
   in
-  up witnessed b.Block.parents
+  up witnessed HSet.empty b.Block.parents
 
 let add t (b : Block.t) =
   let h = b.Block.hash in
@@ -185,6 +202,9 @@ let add t (b : Block.t) =
           frontier;
           heights = HMap.add h height t.heights;
           archived = t.archived;
+          stubs = t.stubs;
+          inserted = h :: t.inserted;
+          inserted_count = t.inserted_count + 1;
           genesis = (if b.Block.parents = [] then Some b else t.genesis);
           bytes = t.bytes + Block.byte_size b;
           max_height_ = Int.max t.max_height_ height;
@@ -192,7 +212,7 @@ let add t (b : Block.t) =
             HMap.update b.Block.creator
               (fun n -> Some (1 + Option.value n ~default:0))
               t.by_creator_;
-          witnessed = credit_witness t.witnessed t.blocks b;
+          witnessed = credit_witness t.witnessed t.blocks t.stubs b;
           max_key;
           order;
           below_memo = [];
@@ -408,6 +428,7 @@ let prune t h =
       t with
       blocks = HMap.remove h t.blocks;
       archived = HSet.add h t.archived;
+      stubs = HMap.add h b.Block.parents t.stubs;
       bytes = t.bytes - Block.byte_size b;
       by_creator_ =
         HMap.update b.Block.creator
@@ -424,6 +445,19 @@ let prune t h =
       below_memo = [];
       by_height_memo = None;
     }
+
+let insertion_count t = t.inserted_count
+
+let inserted_since t n =
+  (* [inserted] is newest first: take the [inserted_count - n] newest,
+     consing each onto the result, which leaves them oldest first. *)
+  let rec take k acc = function
+    | h :: rest when k > 0 ->
+      let acc = match HMap.find_opt h t.blocks with Some b -> b :: acc | None -> acc in
+      take (k - 1) acc rest
+    | _ :: _ | [] -> acc
+  in
+  take (t.inserted_count - n) [] t.inserted
 
 let is_archived t h = HSet.mem h t.archived
 let archived_hashes t = t.archived

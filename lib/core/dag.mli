@@ -152,7 +152,10 @@ val prune : t -> Hash_id.t -> t
     counts are decremented, the block's own witness entry is dropped
     (its ancestors keep theirs — see {!witness_set}), and the cached
     canonical order is invalidated (removing a vertex can legitimately
-    reorder its children), to be rebuilt once on the next query. *)
+    reorder its children), to be rebuilt once on the next query. The
+    block's parent hashes stay behind as a stub, so a block added later
+    beneath it still credits its creator to the resident ancestors above
+    it. *)
 
 val is_archived : t -> Hash_id.t -> bool
 val archived_hashes : t -> Hash_id.Set.t
@@ -160,6 +163,23 @@ val archived_count : t -> int
 val byte_size : t -> int
 (** Total encoded size of resident blocks — the storage metric for §IV-I
     experiments. *)
+
+(** {1 Insertion order}
+
+    Every DAG remembers the order its blocks were added in — parents
+    always before children, since {!add} requires the parents. An
+    append-only store persists a replica incrementally from it: it keeps
+    the {!insertion_count} it has written as a watermark and asks for
+    what came after. *)
+
+val insertion_count : t -> int
+(** Blocks ever added (a prune does not decrease it). O(1). *)
+
+val inserted_since : t -> int -> Block.t list
+(** [inserted_since t n]: the resident blocks among those added after
+    the first [n], oldest first (so parents first).
+    O([insertion_count t - n]); blocks pruned in the meantime are
+    skipped. *)
 
 (** {1 Oracles}
 

@@ -67,6 +67,8 @@ let get_u32 s off =
   lor (Char.code s.[off + 2] lsl 8))
   lor Char.code s.[off + 3]
 
+let signature_index s = s.index
+
 let signature_to_string s =
   let b = Buffer.create 4096 in
   put_u32 b s.index;

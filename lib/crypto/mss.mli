@@ -47,6 +47,10 @@ val public_of_secret : secret_key -> public_key
 
 val signature_to_string : signature -> string
 val signature_of_string : ?chunk_bits:int -> string -> signature option
+val signature_index : signature -> int
+(** The leaf index a signature consumed — what a leaf-reuse audit
+    compares across signatures. *)
+
 val signature_size : ?chunk_bits:int -> height:int -> unit -> int
 (** Serialized size of a signature for a key of the given height (paths to
     a full tree have exactly [height] siblings). *)

@@ -87,7 +87,9 @@ type t =
   | Block_archived of { node : node; block : Vegvisir.Hash_id.t; index : int }
       (** a block committed to a superpeer's support chain at [index] *)
   | Store_loaded of { node : node; blocks : int }
+      (** a node directory was opened; [blocks] resident after replay *)
   | Store_saved of { node : node; blocks : int }
+      (** a save appended [blocks] new blocks to the node's block log *)
   | Sync_started of { node : node; peer : node }
   | Sync_completed of { node : node; peer : node; pulled : int; served : int }
   | Recovery_completed of { node : node; peer : node; blocks : int }

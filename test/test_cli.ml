@@ -14,8 +14,52 @@ let fresh_dir name =
       (Printf.sprintf "vegvisir-test-%s-%d" name (Random.int 1_000_000)) in
   dir
 
-let init name = Result.get_ok (Node_store.init ~dir:(fresh_dir name) ~seed:(name ^ "-seed")
-    ~height:4 ~init_crdts:[ ("log", Vegvisir_crdt.Schema.spec Vegvisir_crdt.Schema.Gset Value.T_string) ] ())
+let init_h ?(height = 4) name =
+  Result.get_ok (Node_store.init ~dir:(fresh_dir name) ~seed:(name ^ "-seed")
+    ~height ~init_crdts:[ ("log", Vegvisir_crdt.Schema.spec Vegvisir_crdt.Schema.Gset Value.T_string) ] ())
+
+let init name = init_h name
+
+let read_bin path = In_channel.with_open_bin path In_channel.input_all
+
+let write_bin path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let log_path dir = Filename.concat dir "chain.log"
+
+(* The reservation field of a node's key file
+   ("mss <height> <reserved> <seed-hex>"). *)
+let key_reserved dir =
+  Scanf.sscanf (read_bin (Filename.concat dir "key")) "mss %d %d" (fun _ r -> r)
+
+(* (offset, length) of every frame of a chain.log image: a u32
+   big-endian length, the 32-byte block hash, then that many bytes of
+   block encoding. *)
+let frames raw =
+  let rec go off acc =
+    if off >= String.length raw then List.rev acc
+    else begin
+      let len = 4 + 32 + Int32.to_int (String.get_int32_be raw off) in
+      go (off + len) ((off, len) :: acc)
+    end
+  in
+  go 0 []
+
+let frame_of (b : V.Block.t) =
+  let enc = V.Block.to_string b in
+  let buf = Buffer.create (String.length enc + 36) in
+  V.Wire.put_u32 buf (String.length enc);
+  Buffer.add_string buf (V.Hash_id.to_raw b.V.Block.hash);
+  Buffer.add_string buf enc;
+  Buffer.contents buf
+
+let leaf_of (b : V.Block.t) =
+  match Vegvisir_crypto.Mss.signature_of_string b.V.Block.signature with
+  | Some s -> Vegvisir_crypto.Mss.signature_index s
+  | None -> Alcotest.fail "block signature is not an MSS signature"
+
+let append_s st entry =
+  Result.get_ok (Node_store.append st ~crdt:"log" ~op:"add" [ Value.String entry ])
 
 let lifecycle () =
   let ca = init "ca1" in
@@ -29,15 +73,20 @@ let lifecycle () =
    | _ -> Alcotest.fail "state not rebuilt");
   (* Appending from the reloaded handle uses fresh one-time leaves: the
      block must validate at another replica (reuse would break nothing
-     visibly in OUR verifier, but key position must be monotone). *)
-  let key_file = Filename.concat ca.Node_store.dir "key" in
-  let used_of () =
-    let contents = In_channel.with_open_bin key_file In_channel.input_all in
-    Scanf.sscanf contents "mss %d %d" (fun _ used -> used)
-  in
-  let used_before = used_of () in
-  let _b2 = Result.get_ok (Node_store.append reloaded ~crdt:"log" ~op:"add" [ Value.String "two" ]) in
-  check_b "key position advanced" true (used_of () > used_before);
+     visibly in OUR verifier, but key position must be monotone). The
+     key file's position is the write-ahead reservation: it covers every
+     leaf the key has used. *)
+  let dir = ca.Node_store.dir in
+  let used st = 16 - Option.get (Node_store.remaining_signatures st) in
+  let reserved_before = key_reserved dir in
+  check_b "reservation covers the used leaves" true (reserved_before >= used reloaded);
+  let log_before = read_bin (log_path dir) in
+  let b2 = Result.get_ok (Node_store.append reloaded ~crdt:"log" ~op:"add" [ Value.String "two" ]) in
+  check_b "key position advanced" true (key_reserved dir > reserved_before);
+  check_b "reservation still covers the used leaves" true (key_reserved dir >= used reloaded);
+  (* The save appended exactly the new block's frame. *)
+  check_b "save appends one frame" true
+    (String.equal (read_bin (log_path dir)) (log_before ^ frame_of b2));
   check_i "verify revalidates all" 3 (Result.get_ok (Node_store.verify reloaded))
 
 let enroll_and_sync () =
@@ -86,30 +135,231 @@ let key_rotation () =
 
 let corruption_detected () =
   let ca = init "ca3" in
-  let chain_file = Filename.concat ca.Node_store.dir "chain.dag" in
-  let raw = In_channel.with_open_bin chain_file In_channel.input_all in
-  (* Flip a byte inside the chain file: load must reject it. *)
+  let _ = append_s ca "one" and _ = append_s ca "two" in
+  let path = log_path ca.Node_store.dir in
+  let raw = read_bin path in
+  (* Flip a byte inside the middle frame: load must reject it, and must
+     not cut the log short to make it fit. *)
+  let off, len = List.nth (frames raw) 1 in
   let tampered = Bytes.of_string raw in
-  let mid = Bytes.length tampered / 2 in
+  let mid = off + (len / 2) in
   Bytes.set tampered mid (Char.chr (Char.code (Bytes.get tampered mid) lxor 1));
-  Out_channel.with_open_bin chain_file (fun oc ->
-      Out_channel.output_bytes oc tampered);
+  write_bin path (Bytes.to_string tampered);
   (match Node_store.load ~dir:ca.Node_store.dir with
    | Error _ -> ()
-   | Ok t ->
-     (* If the flip landed somewhere that still decodes, the signature or
-        hash check must fail on revalidation instead. *)
-     (match Node_store.verify t with
-      | Error _ -> ()
-      | Ok _ ->
-        (* The flipped byte produced a different but self-consistent block:
-           then its hash changed and the CSM state differs from the
-           original; at minimum the original genesis is gone. *)
-        ()));
+   | Ok _ -> Alcotest.fail "corrupt middle frame accepted");
+  check_b "corrupt log left untouched" true
+    (String.equal (read_bin path) (Bytes.to_string tampered));
   (* Double-init refused. *)
   match Node_store.init ~dir:ca.Node_store.dir ~seed:"x" () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "double init accepted"
+
+(* Crash safety of the block log: an append torn anywhere inside the
+   final frame loads as the prefix before it (and the file is cut back
+   to that prefix), while damage to any byte of an earlier frame is an
+   error, never a silent truncation. Every load re-derives the MSS key
+   and revalidates the prefix (~20 ms), so the cuts cover every byte of
+   the frame header and of the block's leading fields, then every 64th
+   byte of the signature, then its last bytes; the flips, which fail
+   before any key work, cover every byte. *)
+let torn_tail () =
+  let st = init_h ~height:2 "torn" in
+  let _ = append_s st "one" and _ = append_s st "two" in
+  let dir = st.Node_store.dir in
+  let path = log_path dir in
+  let raw = read_bin path in
+  let fs = frames raw in
+  check_i "three frames" 3 (List.length fs);
+  check_i "frames tile the file" (String.length raw)
+    (List.fold_left (fun acc (_, len) -> acc + len) 0 fs);
+  let last_off, _ = List.nth fs 2 in
+  let cuts =
+    List.init (String.length raw - last_off) (fun i -> last_off + i)
+    |> List.filter (fun cut ->
+           cut - last_off < 36 + 64 || (cut - last_off) mod 64 = 0
+           || String.length raw - cut <= 8)
+  in
+  List.iter
+    (fun cut ->
+      write_bin path (String.sub raw 0 cut);
+      match Node_store.load ~dir with
+      | Error e -> Alcotest.failf "cut at byte %d: %s" cut e
+      | Ok t ->
+        check_i (Printf.sprintf "cut at byte %d: prefix loaded" cut) 2
+          (V.Dag.cardinal (V.Node.dag t.Node_store.node));
+        check_i (Printf.sprintf "cut at byte %d: tail truncated" cut) last_off
+          (String.length (read_bin path));
+        check_i (Printf.sprintf "cut at byte %d: prefix verifies" cut) 2
+          (Result.get_ok (Node_store.verify t)))
+    cuts;
+  let mid_off, mid_len = List.nth fs 1 in
+  for i = mid_off to mid_off + mid_len - 1 do
+    let tampered = Bytes.of_string raw in
+    Bytes.set tampered i (Char.chr (Char.code (Bytes.get tampered i) lxor 0x20));
+    let tampered = Bytes.to_string tampered in
+    write_bin path tampered;
+    (match Node_store.load ~dir with
+     | Error _ -> ()
+     | Ok _ -> Alcotest.failf "flipped byte %d of the middle frame was accepted" i);
+    check_b (Printf.sprintf "flip at byte %d: log untouched" i) true
+      (String.equal (read_bin path) tampered)
+  done
+
+(* Run [f] in a forked child that then SIGKILLs itself; [f] reports
+   lines through [say]. Returns the lines the child wrote before dying. *)
+let in_killed_child f =
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    let say line =
+      let line = line ^ "\n" in
+      ignore (Unix.write_substring w line 0 (String.length line))
+    in
+    (match f say with () -> () | exception e -> say ("error " ^ Printexc.to_string e));
+    Unix.kill (Unix.getpid ()) Sys.sigkill;
+    Unix._exit 9
+  | pid ->
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+    close_in ic;
+    let _, status = Unix.waitpid [] pid in
+    check_b "child died by SIGKILL" true (status = Unix.WSIGNALED Sys.sigkill);
+    List.filter (fun l -> l <> "") lines
+
+(* A node process SIGKILLed at deterministic points of its write path:
+   after whole appends (before the next reservation), between a leaf's
+   reservation and the log write of the block it signed, and in the
+   middle of writing that block's frame. After each kill the directory
+   reopens to exactly the saved blocks and revalidates, its reservation
+   covers every leaf ever signed with, and no W-OTS leaf index appears
+   in two signatures. *)
+let crash_safety () =
+  let st = init_h ~height:4 "crash" in
+  let dir = st.Node_store.dir in
+  let now () = V.Timestamp.of_seconds (Unix_compat.now ()) in
+  (* Every signature the key ever produced, as (leaf, block hash): the
+     genesis, then whatever the children report — saved or not, each
+     one left its process. *)
+  let signatures =
+    ref
+      (List.map
+         (fun (b : V.Block.t) -> (leaf_of b, b.V.Block.hash))
+         (V.Dag.blocks (V.Node.dag st.Node_store.node)))
+  in
+  let saved = ref [] and unsaved = ref [] in
+  let report say kind (b : V.Block.t) =
+    say (Printf.sprintf "%s %d %s" kind (leaf_of b) (V.Hash_id.to_hex b.V.Block.hash))
+  in
+  (* Sign a block (reserving its leaf) and apply it, but never save it. *)
+  let sign_only t entry =
+    let tx =
+      Result.get_ok
+        (V.Node.prepare_transaction t.Node_store.node ~crdt:"log" ~op:"add"
+           [ Value.String entry ])
+    in
+    match V.Node.append t.Node_store.node ~now:(now ()) [ tx ] with
+    | Ok b -> b
+    | Error e -> failwith (Fmt.str "%a" V.Node.pp_append_error e)
+  in
+  let rounds =
+    [
+      ( "killed between appends",
+        fun say ->
+          let t = Result.get_ok (Node_store.load ~dir) in
+          List.iter (fun e -> report say "saved" (append_s t e)) [ "a1"; "a2"; "a3" ] );
+      ( "killed between reservation and log write",
+        fun say ->
+          let t = Result.get_ok (Node_store.load ~dir) in
+          report say "saved" (append_s t "b1");
+          report say "unsaved" (sign_only t "b2") );
+      ( "killed mid-frame",
+        fun say ->
+          let t = Result.get_ok (Node_store.load ~dir) in
+          let b = sign_only t "c1" in
+          report say "unsaved" b;
+          (* A pre-truncated write: half of the block's frame. *)
+          let frame = frame_of b in
+          Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644
+            (log_path dir) (fun oc ->
+              Out_channel.output_string oc (String.sub frame 0 (String.length frame / 2))) );
+    ]
+  in
+  let audit label t =
+    let dag = V.Node.dag t.Node_store.node in
+    List.iter
+      (fun h -> check_b (label ^ ": saved block present") true (V.Dag.mem dag h))
+      !saved;
+    List.iter
+      (fun h -> check_b (label ^ ": unsaved block absent") false (V.Dag.mem dag h))
+      !unsaved;
+    check_i (label ^ ": exactly the saved prefix") (1 + List.length !saved)
+      (V.Dag.cardinal dag);
+    check_i (label ^ ": verifies") (V.Dag.cardinal dag) (Result.get_ok (Node_store.verify t));
+    let raw = read_bin (log_path dir) in
+    check_i (label ^ ": log is whole frames") (String.length raw)
+      (List.fold_left (fun acc (_, len) -> acc + len) 0 (frames raw));
+    let leaves = List.map fst !signatures in
+    check_i (label ^ ": no leaf signed twice") (List.length leaves)
+      (List.length (List.sort_uniq Int.compare leaves));
+    let next = 16 - Option.get (Node_store.remaining_signatures t) in
+    let top = List.fold_left Int.max 0 leaves in
+    check_b (label ^ ": next leaf is fresh") true (next > top);
+    check_b (label ^ ": reservation covers every used leaf") true (key_reserved dir >= next)
+  in
+  List.iter
+    (fun (label, f) ->
+      List.iter
+        (fun line ->
+          match String.split_on_char ' ' line with
+          | [ kind; leaf; hex ] ->
+            let h = Option.get (V.Hash_id.of_hex hex) in
+            signatures := (int_of_string leaf, h) :: !signatures;
+            if String.equal kind "saved" then saved := h :: !saved
+            else unsaved := h :: !unsaved
+          | _ -> Alcotest.failf "%s: child reported %S" label line)
+        (in_killed_child f);
+      audit label (Result.get_ok (Node_store.load ~dir)))
+    rounds;
+  (* Life goes on after the crashes: the reopened node signs with a
+     fresh leaf and everything still revalidates. *)
+  let t = Result.get_ok (Node_store.load ~dir) in
+  let b = append_s t "after" in
+  signatures := (leaf_of b, b.V.Block.hash) :: !signatures;
+  saved := b.V.Block.hash :: !saved;
+  audit "after the crashes" (Result.get_ok (Node_store.load ~dir))
+
+(* set_anti_entropy twice on one loop, half a period apart: the second
+   call replaces the first, so one timer chain runs. The loop dials
+   itself. Its N-th dial comes no sooner than N periods after the second
+   call, and half a period later there is still no other (two
+   interleaved chains would reach N dials within about N / 2 periods).
+   A slow machine only delays dials, so neither check can fail from
+   lag. *)
+let anti_entropy_idempotent () =
+  let st = init_h ~height:2 "ae" in
+  let loop = Event_loop.create ~store:st () in
+  let port = Result.get_ok (Event_loop.listen_peers loop ~port:0 ()) in
+  let every_ms = 100. and periods = 4 in
+  let self = [ ("127.0.0.1", port) ] in
+  let run until =
+    match Event_loop.run loop ~until with Ok () -> () | Error e -> Alcotest.fail e
+  in
+  let dials () = List.length (Event_loop.dials loop) in
+  let second = ref None in
+  Event_loop.set_anti_entropy loop ~every_ms ~peers:self;
+  Event_loop.after loop ~ms:(every_ms /. 2.) (fun () ->
+      second := Some (Unix_compat.mono_ms ());
+      Event_loop.set_anti_entropy loop ~every_ms ~peers:self);
+  run (fun _ -> dials () >= periods);
+  let elapsed = Unix_compat.mono_ms () -. Option.get !second in
+  check_b "N dials take N periods" true
+    (elapsed >= (float_of_int periods -. 0.25) *. every_ms);
+  Event_loop.after loop ~ms:(every_ms /. 2.) (fun () -> Event_loop.request_stop loop);
+  run (fun _ -> false);
+  check_i "no extra dial half a period later" periods (dials ())
 
 (* Live socket sync: two divergent file-backed replicas reconcile over a
    real loopback connection. The listener binds an ephemeral port before
@@ -1023,6 +1273,8 @@ let () =
           Alcotest.test_case "enroll and sync" `Quick enroll_and_sync;
           Alcotest.test_case "key rotation" `Quick key_rotation;
           Alcotest.test_case "corruption" `Quick corruption_detected;
+          Alcotest.test_case "torn tail" `Quick torn_tail;
+          Alcotest.test_case "SIGKILL crash safety" `Quick crash_safety;
           Alcotest.test_case "live socket sync" `Quick live_sync;
           Alcotest.test_case "batch ancestry recovery" `Quick recover_ancestry;
         ] );
@@ -1038,6 +1290,8 @@ let () =
         [ Alcotest.test_case "GET /metrics over loopback" `Quick metrics_endpoint ] );
       ( "daemon",
         [
+          Alcotest.test_case "set_anti_entropy twice keeps one timer chain"
+            `Quick anti_entropy_idempotent;
           Alcotest.test_case "64-session soak" `Slow daemon_soak;
           Alcotest.test_case "live health + scoreboard dialing" `Slow
             live_health_soak;

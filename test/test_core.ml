@@ -1228,6 +1228,54 @@ let random_indexed_dag script =
     script;
   (!dag, !pruned)
 
+(* The witness-index contract on one random script: equal to the
+   descendant-BFS oracle prune-free, and a monotone superset after pruning
+   (witness facts survive their witnessing blocks). *)
+let witness_index_agrees script =
+  let dag, pruned = random_indexed_dag script in
+  List.for_all
+    (fun (b : Block.t) ->
+      let h = b.Block.hash in
+      let index = Dag.witness_set dag h in
+      let oracle = Witness.oracle_witnesses dag h in
+      if pruned then Hash_id.Set.subset oracle index
+      else Hash_id.Set.equal oracle index)
+    (Dag.blocks dag)
+
+(* Regression: a block added beneath an archived one must still credit
+   the resident ancestors above it — genesis→a→m→y by alice, prune m,
+   then n by bob on y witnesses a. *)
+let witness_credit_crosses_pruned () =
+  let a = mk_block ~t:10 ~parents:[ genesis.Block.hash ] "a" in
+  let m = mk_block ~t:20 ~parents:[ a.Block.hash ] "m" in
+  let y = mk_block ~t:30 ~parents:[ m.Block.hash ] "y" in
+  let dag =
+    List.fold_left
+      (fun acc b -> Result.get_ok (Dag.add acc b))
+      (dag_with_genesis ()) [ a; m; y ]
+  in
+  let dag = Dag.prune dag m.Block.hash in
+  let n =
+    mk_block ~signer:bob_signer ~creator:bob_cert.Certificate.user_id ~t:40
+      ~parents:[ y.Block.hash ] "n"
+  in
+  let dag = Result.get_ok (Dag.add dag n) in
+  let bob = bob_cert.Certificate.user_id in
+  check_b "oracle: n witnesses a" true
+    (Hash_id.Set.mem bob (Witness.oracle_witnesses dag a.Block.hash));
+  check_b "index: n witnesses a across the pruned m" true
+    (Hash_id.Set.subset
+       (Witness.oracle_witnesses dag a.Block.hash)
+       (Dag.witness_set dag a.Block.hash));
+  check_b "index: n witnesses y" true
+    (Hash_id.Set.mem bob (Dag.witness_set dag y.Block.hash))
+
+(* Regression: the shrunk counterexample of the witness-index property
+   (QCHECK_SEED=7277762). *)
+let witness_shrunk_script () =
+  check_b "index ⊇ oracle on [2; 8; 28; 8; 1]" true
+    (witness_index_agrees [ 2; 8; 28; 8; 1 ])
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -1330,18 +1378,7 @@ let qcheck_tests =
     Test.make ~name:"incremental witness index vs descendant-BFS oracle"
       ~count:50
       (list_of_size Gen.(0 -- 25) (int_range 0 30))
-      (fun script ->
-        let dag, pruned = random_indexed_dag script in
-        List.for_all
-          (fun (b : Block.t) ->
-            let h = b.Block.hash in
-            let index = Dag.witness_set dag h in
-            let oracle = Witness.oracle_witnesses dag h in
-            (* Equal prune-free; the index is a monotone superset after
-               pruning (witness facts survive their witnessing blocks). *)
-            if pruned then Hash_id.Set.subset oracle index
-            else Hash_id.Set.equal oracle index)
-          (Dag.blocks dag));
+      witness_index_agrees;
     Test.make ~name:"below vs per-hash ancestors-union oracle" ~count:50
       (pair
          (list_of_size Gen.(0 -- 25) (int_range 0 30))
@@ -1499,6 +1536,10 @@ let () =
           Alcotest.test_case "counting" `Quick witness_counting;
           Alcotest.test_case "index monotone under prune" `Quick
             witness_index_monotone_under_prune;
+          Alcotest.test_case "credit crosses a pruned block" `Quick
+            witness_credit_crosses_pruned;
+          Alcotest.test_case "shrunk script [2; 8; 28; 8; 1]" `Quick
+            witness_shrunk_script;
         ] );
       ( "reconcile",
         [
