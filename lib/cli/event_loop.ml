@@ -46,8 +46,6 @@ let max_request_bytes = 16 * 1024
 
 type config = {
   mode : Reconcile.mode;
-  knowledge_cache : int;
-      (* per-peer knowledge-cache capacity for hosted engines; 0 = off *)
   session_budget : int;
       (* stop accepting new peer conns while this many are active *)
   max_outbound_bytes : int;
@@ -73,7 +71,6 @@ type config = {
 let default_config =
   {
     mode = Reconcile.Naive;
-    knowledge_cache = 0;
     session_budget = 128;
     max_outbound_bytes = 8 * 1024 * 1024;
     stale_after_ms = 2_000.;
@@ -135,9 +132,6 @@ type session = {
   mutable delivered : int;
   mutable served : int;
   mutable last_io : float;
-  mutable trace_ctx : (string * string) option;
-      (* the session's (trace, root span) once announced — sent by us on
-         a sampled outbound exchange, or received from the initiator *)
 }
 
 type http = {
@@ -544,122 +538,27 @@ let apply_effect t s (eff : Peer_engine.effect_) =
         t.dirty <- true
   end
   | Peer_engine.Session_done pull_stats -> s.pulled <- Some pull_stats
-  | Peer_engine.Trace ev -> begin
+  | Peer_engine.Trace ev -> (
+    journal t (Peer_engine.to_events ~node:t.me ~peer:(fun _ -> s.label) ev);
     match ev with
-    | Peer_engine.Session_aborted { generation; reason; _ } ->
-      journal t
-        [
-          Obs.Event.Session_aborted
-            {
-              node = t.me;
-              peer = s.label;
-              generation;
-              reason =
-                (match reason with
-                | Peer_engine.Stalled -> Obs.Event.Stalled
-                | Peer_engine.Timed_out -> Obs.Event.Timed_out);
-            };
-        ];
+    | Peer_engine.Peer_advertised { hashes; _ } -> (
+      (* Feed advertisement evidence to the pending pool so eviction
+         spares buffered orphans a live peer still vouches for. *)
+      match t.store with
+      | Some store ->
+        List.iter (Node.note_advertised store.Node_store.node) hashes
+      | None -> ())
+    | Peer_engine.Session_aborted { reason; _ } ->
       fail_session t s
         (match reason with
         | Peer_engine.Stalled -> "sync failed: the peer stopped answering"
         | Peer_engine.Timed_out -> "sync failed: session deadline exceeded")
-    | Peer_engine.Session_started { generation; _ } ->
-      journal t
-        [ Obs.Event.Session_started { node = t.me; peer = s.label; generation } ]
-    | Peer_engine.Request_resent { generation; attempt; _ } ->
-      journal t
-        [
-          Obs.Event.Request_resent
-            { node = t.me; peer = s.label; generation; attempt };
-        ]
-    | Peer_engine.Session_completed { generation; blocks; duration_ms; _ } ->
-      journal t
-        [
-          Obs.Event.Session_completed
-            { node = t.me; peer = s.label; generation; blocks; duration_ms };
-        ];
-      (* A traced session closes with a timed exchange span under the
-         announced root — same trace id on both daemons. *)
-      (match s.trace_ctx with
-      | None -> ()
-      | Some (trace, root) ->
-        journal t
-          [
-            Obs.Event.Span
-              {
-                node = t.me;
-                trace;
-                span = Obs.Span.derive ~trace ~node:t.me ~name:"session.exchange";
-                parent = Some root;
-                name = "session.exchange";
-                dur_ms = duration_ms;
-              };
-          ])
-    | Peer_engine.Blocks_served { blocks; _ } ->
-      journal t (List.map (fun h -> block_event t s Obs.Event.Sent h) blocks)
-    | Peer_engine.Redundant_received { blocks; _ } ->
-      journal t
-        (List.map
-           (fun h ->
-             Obs.Event.Block_redundant
-               { node = t.me; block = h; peer = Some s.label })
-           blocks)
-    | Peer_engine.Blocks_suppressed { blocks; _ } ->
-      journal t
-        [
-          Obs.Event.Blocks_suppressed
-            { node = t.me; peer = s.label; blocks = List.length blocks };
-        ]
-    | Peer_engine.Peer_advertised { hashes; _ } ->
-      (* Feed advertisement evidence to the pending pool so eviction
-         spares buffered orphans a live peer still vouches for. *)
-      (match t.store with
-      | Some store ->
-        List.iter (Node.note_advertised store.Node_store.node) hashes
-      | None -> ());
-      journal t
-        [
-          Obs.Event.Blocks_advertised
-            { node = t.me; peer = s.label; hashes = List.length hashes };
-        ]
-    (* Span stitching: a sampled outbound session announces its trace
-       (the announcement is the trace's root span); the responder, on
-       hearing it, opens a serve span under the announced root. Either
-       way the ids ride the session so the completion span below joins
-       the same tree — across both processes. *)
-    | Peer_engine.Trace_context_sent { trace; span; _ } ->
-      s.trace_ctx <- Some (trace, span);
-      journal t
-        [
-          Obs.Event.Span
-            {
-              node = t.me;
-              trace;
-              span;
-              parent = None;
-              name = "session.announce";
-              dur_ms = 0.;
-            };
-        ]
-    | Peer_engine.Trace_context_received { trace; span; _ } ->
-      s.trace_ctx <- Some (trace, span);
-      journal t
-        [
-          Obs.Event.Span
-            {
-              node = t.me;
-              trace;
-              span = Obs.Span.derive ~trace ~node:t.me ~name:"session.serve";
-              parent = Some span;
-              name = "session.serve";
-              dur_ms = 0.;
-            };
-        ]
-    | Peer_engine.Request_suppressed _ | Peer_engine.Reply_ignored _
-    | Peer_engine.Decode_failed _ ->
-      ()
-  end
+    | Peer_engine.Session_started _ | Peer_engine.Request_resent _
+    | Peer_engine.Session_completed _ | Peer_engine.Request_suppressed _
+    | Peer_engine.Reply_ignored _ | Peer_engine.Decode_failed _
+    | Peer_engine.Blocks_served _ | Peer_engine.Redundant_received _
+    | Peer_engine.Trace_context_sent _ | Peer_engine.Trace_context_received _ ->
+      ())
 
 (* Feed one input to the session's engine, replay its effects, re-arm
    its housekeeping wakeup, and run the pull-completion transition. *)
@@ -926,7 +825,6 @@ let new_session t ~origin ?label conn =
             Peer_engine.Config.mode = t.config.mode;
             stale_after_ms = t.config.stale_after_ms;
             session_timeout_ms = t.config.session_timeout_ms;
-            knowledge_cache = t.config.knowledge_cache;
             trace_sample = t.config.trace_sample;
           }
         ~user_id:(Node.user_id node) ~dag:(Node.dag node) ()
@@ -955,7 +853,6 @@ let new_session t ~origin ?label conn =
         delivered = 0;
         served = 0;
         last_io = Unix_compat.mono_ms ();
-        trace_ctx = None;
       }
     in
     t.sessions <- IntMap.add sid s t.sessions;

@@ -71,8 +71,7 @@ val reply_blocks : message -> Block.t list
 
 val advertised_hashes : message -> Hash_id.t list
 (** Hashes the sender claims to hold without shipping the blocks
-    (digest leaves) — knowledge-cache / {!Pending_pool} advertisement
-    fodder. *)
+    (digest leaves) — {!Pending_pool} advertisement fodder. *)
 
 val session_trace_ids : initiator:Hash_id.t -> generation:int -> string * string
 (** Deterministic [(trace_id, span_id)] for a session — see

@@ -93,8 +93,8 @@ val reply_blocks : message -> Block.t list
 
 val advertised_hashes : message -> Hash_id.t list
 (** Hashes the sender of this message claims to hold without shipping
-    the blocks (digest leaves) — knowledge-cache and {!Pending_pool}
-    advertisement fodder. *)
+    the blocks (digest leaves) — {!Pending_pool} advertisement
+    fodder. *)
 
 (** Outcome of feeding one reply to a strategy session. *)
 type outcome =

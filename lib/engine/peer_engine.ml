@@ -1,6 +1,6 @@
 open Vegvisir
-module HSet = Hash_id.Set
 module IMap = Map.Make (Int)
+module Obs = Vegvisir_obs
 
 type policy = Honest | Silent | Withholding
 
@@ -11,7 +11,6 @@ module Config = struct
     stale_after_ms : float;
     session_timeout_ms : float;
     retry_limit : int;
-    knowledge_cache : int;
     trace_sample : float;
         (* Head-sampling rate for cross-daemon span tracing: the
            fraction of initiated sessions that announce a
@@ -28,7 +27,6 @@ module Config = struct
       stale_after_ms = 5_000.;
       session_timeout_ms = 30_000.;
       retry_limit = 3;
-      knowledge_cache = 0;
       trace_sample = 0.;
     }
 end
@@ -68,6 +66,7 @@ type event =
       generation : int;
       blocks : int;
       duration_ms : float;
+      trace_ctx : (string * string) option;
     }
   | Session_aborted of { dst : int; generation : int; reason : abort_reason }
   | Request_suppressed of { src : int }
@@ -75,7 +74,6 @@ type event =
   | Decode_failed of { from : int }
   | Blocks_served of { dst : int; blocks : Hash_id.t list }
   | Redundant_received of { from : int; blocks : Hash_id.t list }
-  | Blocks_suppressed of { dst : int; blocks : Hash_id.t list }
   | Peer_advertised of { from : int; hashes : Hash_id.t list }
   | Trace_context_sent of {
       dst : int;
@@ -117,20 +115,11 @@ type t = {
          plus genesis — maintained incrementally so answering a request
          does not rebuild the DAG (the old per-request [topo_order] fold
          was O(n) per message, O(n²) per sync). *)
-  knowledge : HSet.t IMap.t;
-      (* Per-peer knowledge cache (enabled when
-         [config.knowledge_cache > 0]): hashes this peer has {e proven}
-         to hold — blocks it shipped us, hashes it advertised in
-         request frontiers or digest leaves. Receive-side evidence
-         only: blocks we ship are never recorded at send time (the
-         frame may be lost; a wrong entry here means withholding a
-         block the peer genuinely lacks, and several strategies
-         terminate on an empty reply — permanent divergence). What we
-         shipped enters the cache only once the peer's own later
-         traffic acknowledges it (its next frontier or digest leaves).
-         Consulted before every reply [Send] so repeat exchanges ship
-         only the true difference. Ordered containers only: iteration
-         order feeds deterministic effect lists. *)
+  trace_ctxs : (string * string) IMap.t;
+      (* Per peer, the last announced (trace, root span) sent to or
+         received from it; handed out with that peer's
+         [Session_completed] (the exchange span's parent) and dropped
+         when the session ends. *)
 }
 
 (* The censored view admits a block only when its (censored) ancestry is
@@ -156,7 +145,7 @@ let create ?(config = Config.default) ~user_id ~dag () =
       (match config.Config.policy with
       | Honest | Silent -> None
       | Withholding -> Some (build_censored user_id dag));
-    knowledge = IMap.empty;
+    trace_ctxs = IMap.empty;
   }
 
 let config t = t.config
@@ -177,104 +166,15 @@ let absorb t (b : Block.t) =
   | None -> t
   | Some censored -> { t with censored = Some (censor_add t.user_id censored b) }
 
-(* ------------------------------------------------------------------ *)
-(* Per-peer knowledge cache                                             *)
-
-let cache_enabled t = t.config.Config.knowledge_cache > 0
-
-let known_set t peer =
-  match IMap.find_opt peer t.knowledge with Some s -> s | None -> HSet.empty
-
-let known_to t ~peer = HSet.elements (known_set t peer)
-
-(* Record that [peer] holds [hashes]. Bounded per peer by
-   [config.knowledge_cache]; on overflow the peer's cache resets to
-   empty (a deterministic epoch clear — no insertion-order tracking, so
-   no unordered iteration sneaks into the effect stream). A cold cache
-   only costs redundant transfers, never correctness. *)
-let cache_note t peer hashes =
-  match hashes with
-  | [] -> t
-  | _ :: _ when not (cache_enabled t) -> t
-  | _ :: _ ->
-    let known = List.fold_left (fun s h -> HSet.add h s) (known_set t peer) hashes in
-    let known =
-      if HSet.cardinal known > t.config.Config.knowledge_cache then HSet.empty
-      else known
-    in
-    { t with knowledge = IMap.add peer known t.knowledge }
-
-(* Forget [hashes] for [peer] — the inverse of [cache_note], for
-   evidence that the peer *lacks* something the cache attributes to it. *)
-let cache_forget t peer hashes =
-  match hashes with
-  | [] -> t
-  | _ :: _ when not (cache_enabled t) -> t
-  | _ :: _ ->
-    let known =
-      List.fold_left (fun s h -> HSet.remove h s) (known_set t peer) hashes
-    in
-    { t with knowledge = IMap.add peer known t.knowledge }
-
-(* Hashes a request proves its sender holds: an indexed request carries
-   the sender's frontier and recent ancestry; bloom/digest requests are
-   not enumerable — nothing to learn from those. *)
-let request_evidence = function
-  | Reconcile.Sync_request { frontier; recent } -> frontier @ recent
-  | Reconcile.Frontier_request _ | Reconcile.Bloom_request _
-  | Reconcile.Blocks_request _ | Reconcile.Digest_request _
-  | Reconcile.Frontier_reply _ | Reconcile.Sync_reply _
-  | Reconcile.Bloom_reply _ | Reconcile.Blocks_reply _
-  | Reconcile.Digest_reply _ | Reconcile.Trace_context _ ->
-    []
-
-(* Hashes a request proves its sender {e lacks}: an explicit block fetch
-   names exactly the bodies the sender could not get any other way —
-   positive proof that overrides whatever the cache believed (the peer
-   may legitimately re-request a block it once advertised: pending-pool
-   eviction of a buffered block, or an earlier reply lost in flight). *)
-let request_retraction = function
-  | Reconcile.Blocks_request { hashes } -> hashes
-  | Reconcile.Frontier_request _ | Reconcile.Sync_request _
-  | Reconcile.Bloom_request _ | Reconcile.Digest_request _
-  | Reconcile.Frontier_reply _ | Reconcile.Sync_reply _
-  | Reconcile.Bloom_reply _ | Reconcile.Blocks_reply _
-  | Reconcile.Digest_reply _ | Reconcile.Trace_context _ ->
-    []
-
-(* Drop blocks [known] already attributes to the peer from a reply's
-   payload. Only sweep-style replies change; the protocol control
-   fields (levels, digests, hash lists) pass through untouched, so the
-   initiator's narrowing logic still sees a structurally honest reply —
-   just without re-shipped block bodies. [Blocks_reply] is exempt: it
-   answers an explicit [Blocks_request], and a request by hash is
-   positive proof the sender lacks those blocks — suppressing there
-   would starve bloom gap-recovery and digest leaf-fetch, both of which
-   terminate on an empty reply. *)
-let suppress_known known reply =
-  let split blocks =
-    List.partition (fun (b : Block.t) -> not (HSet.mem b.Block.hash known)) blocks
-  in
-  match reply with
-  | Reconcile.Frontier_reply { level; blocks } ->
-    let keep, dropped = split blocks in
-    (Reconcile.Frontier_reply { level; blocks = keep }, dropped)
-  | Reconcile.Sync_reply { blocks } ->
-    let keep, dropped = split blocks in
-    (Reconcile.Sync_reply { blocks = keep }, dropped)
-  | Reconcile.Bloom_reply { blocks } ->
-    let keep, dropped = split blocks in
-    (Reconcile.Bloom_reply { blocks = keep }, dropped)
-  | Reconcile.Frontier_request _ | Reconcile.Sync_request _
-  | Reconcile.Bloom_request _ | Reconcile.Blocks_request _
-  | Reconcile.Blocks_reply _ | Reconcile.Digest_request _
-  | Reconcile.Digest_reply _ | Reconcile.Trace_context _ ->
-    (reply, [])
-
 let encode m =
   let b = Buffer.create 256 in
   Reconcile.encode_message b m;
   Buffer.contents b
+
+(* The session with [s.dst] is over: so is the trace context announced
+   to or by that peer. *)
+let end_session t (s : session_state) =
+  { t with session = None; trace_ctxs = IMap.remove s.dst t.trace_ctxs }
 
 let stale t (s : session_state) ~now =
   now -. s.last_activity > t.config.Config.stale_after_ms
@@ -308,7 +208,7 @@ let tick t ~now ~dag ~peer =
                  { dst = s.dst; generation = s.generation; attempt = t.retries });
           ] )
       else
-        ( { t with session = None },
+        ( end_session t s,
           [
             Trace
               (Session_aborted
@@ -328,7 +228,7 @@ let tick t ~now ~dag ~peer =
        side stitches its spans into the initiator's trace. The frame is
        fire-and-forget: peers predating tag 11 drop it at decode, and a
        lost frame only costs an unstitched serve span. *)
-    let trace_ctx =
+    let t, announce =
       if
         Reconcile.trace_sampled ~initiator:t.user_id ~generation
           ~rate:t.config.Config.trace_sample
@@ -336,11 +236,12 @@ let tick t ~now ~dag ~peer =
         let trace, span =
           Reconcile.session_trace_ids ~initiator:t.user_id ~generation
         in
-        [
-          Send { dst; bytes = encode (Reconcile.Trace_context { trace; span }) };
-          Trace (Trace_context_sent { dst; generation; trace; span });
-        ]
-      else []
+        ( { t with trace_ctxs = IMap.add dst (trace, span) t.trace_ctxs },
+          [
+            Send { dst; bytes = encode (Reconcile.Trace_context { trace; span }) };
+            Trace (Trace_context_sent { dst; generation; trace; span });
+          ] )
+      else (t, [])
     in
     ( { t with session; generation_ = generation },
       housekeeping
@@ -352,7 +253,7 @@ let tick t ~now ~dag ~peer =
               after_ms = t.config.Config.session_timeout_ms;
             };
         ]
-      @ trace_ctx
+      @ announce
       @ [ Send { dst; bytes = encode first } ] )
   | (Some _ | None), (Honest | Silent | Withholding), (Some _ | None) ->
     (t, housekeeping)
@@ -378,14 +279,8 @@ let on_reply t ~now ~dag ~from msg =
   | Some s when Int.equal s.dst from ->
     let s = { s with last_activity = now } in
     let t = { t with retries = 0 } in
-    (* Everything a reply carries is evidence of the responder's
-       holdings: block payloads it shipped and hashes it advertised in
-       digest leaves both enter the peer's knowledge cache. *)
-    let t = cache_note t from (served_blocks msg) in
-    let advertised = Reconcile.advertised_hashes msg in
-    let t = cache_note t from advertised in
     let advert_trace =
-      match advertised with
+      match Reconcile.advertised_hashes msg with
       | [] -> []
       | hashes -> [ Trace (Peer_advertised { from; hashes }) ]
     in
@@ -407,12 +302,12 @@ let on_reply t ~now ~dag ~from msg =
           advert_trace @ redundant @ [ Send { dst = from; bytes = encode next } ] )
       | Reconcile.Ignored ->
         (* Even a stale or foreign reply is evidence — the peer held
-           whatever it carried or advertised — so the cache ingested it
-           above; emit the advertisement trace too, keeping the pending
-           pool and obs counters consistent with the cache. *)
+           whatever it advertised — so the pending pool still hears of
+           it. *)
         ({ t with session = Some s }, advert_trace)
       | Reconcile.Finished { new_blocks; stats } ->
-        let t = { t with session = None } in
+        let trace_ctx = IMap.find_opt from t.trace_ctxs in
+        let t = end_session t s in
         (* The pulled blocks may include the genesis (first sync of a
            fresh replica); keep the censored serving view caught up. *)
         let t = List.fold_left absorb t new_blocks in
@@ -428,6 +323,7 @@ let on_reply t ~now ~dag ~from msg =
                      generation = s.generation;
                      blocks = List.length new_blocks;
                      duration_ms = Float.max 0. (now -. s.started_at);
+                     trace_ctx;
                    });
             ] )
     end
@@ -438,9 +334,11 @@ let on_message t ~now ~dag ~from bytes =
   | None -> (t, [ Trace (Decode_failed { from }) ])
   (* A trace announcement is neither request nor reply: surface it to
      the host (which parents its serve spans under the carried ids) and
-     leave every byte of protocol state untouched. *)
+     remember it as this peer's trace context; the protocol state is
+     untouched. *)
   | Some (Reconcile.Trace_context { trace; span }) ->
-    (t, [ Trace (Trace_context_received { from; trace; span }) ])
+    ( { t with trace_ctxs = IMap.add from (trace, span) t.trace_ctxs },
+      [ Trace (Trace_context_received { from; trace; span }) ] )
   | Some
       (( Reconcile.Frontier_request _ | Reconcile.Frontier_reply _
        | Reconcile.Sync_request _ | Reconcile.Sync_reply _
@@ -455,38 +353,12 @@ let on_message t ~now ~dag ~from bytes =
          | Honest | Withholding -> false)
       then (t, [ Trace (Request_suppressed { src = from }) ])
       else
-        (* What the request itself proves the peer holds — and proves it
-           lacks (an explicit block fetch retracts any cached
-           attribution) — then the cache filter: blocks the cache still
-           attributes to the peer are withheld from the payload. What
-           ships is deliberately *not* recorded: delivery is
-           unconfirmed until the peer's own later traffic (its next
-           frontier or digest leaves) acknowledges the blocks. *)
-        let t = cache_note t from (request_evidence msg) in
-        let t = cache_forget t from (request_retraction msg) in
-        let reply, dropped =
-          if cache_enabled t then suppress_known (known_set t from) reply
-          else (reply, [])
-        in
-        let suppressed =
-          match dropped with
-          | [] -> []
-          | blocks ->
-            [
-              Trace
-                (Blocks_suppressed
-                   {
-                     dst = from;
-                     blocks = List.map (fun (b : Block.t) -> b.Block.hash) blocks;
-                   });
-            ]
-        in
         let serving =
           match served_blocks reply with
           | [] -> []
           | blocks -> [ Trace (Blocks_served { dst = from; blocks }) ]
         in
-        (t, (Send { dst = from; bytes = encode reply } :: serving) @ suppressed)
+        (t, Send { dst = from; bytes = encode reply } :: serving)
     | None -> on_reply t ~now ~dag ~from msg
   end
 
@@ -499,13 +371,93 @@ let handle t ~now ~dag input =
   | Timer_fired (Session_timeout { generation }) -> begin
     match t.session with
     | Some s when Int.equal s.generation generation ->
-      ( { t with session = None },
+      ( end_session t s,
         [
           Trace
             (Session_aborted { dst = s.dst; generation; reason = Timed_out });
         ] )
     | Some _ | None -> (t, [])
   end
+
+(* ------------------------------------------------------------------ *)
+(* Telemetry                                                            *)
+
+(* A session span under an announced root: the ids are derived, so the
+   same (trace, node, name) names the same span on every replay. *)
+let session_span ~node ~trace ~parent ~name ~dur_ms =
+  Obs.Event.Span
+    {
+      node;
+      trace;
+      span = Obs.Span.derive ~trace ~node ~name;
+      parent = Some parent;
+      name;
+      dur_ms;
+    }
+
+let to_events ~node ~peer ev =
+  match ev with
+  | Session_started { dst; generation } ->
+    [ Obs.Event.Session_started { node; peer = peer dst; generation } ]
+  | Request_resent { dst; generation; attempt } ->
+    [ Obs.Event.Request_resent { node; peer = peer dst; generation; attempt } ]
+  | Session_completed { dst; generation; blocks; duration_ms; trace_ctx } ->
+    Obs.Event.Session_completed
+      { node; peer = peer dst; generation; blocks; duration_ms }
+    ::
+    (match trace_ctx with
+    | None -> []
+    | Some (trace, root) ->
+      [
+        session_span ~node ~trace ~parent:root ~name:"session.exchange"
+          ~dur_ms:duration_ms;
+      ])
+  | Session_aborted { dst; generation; reason } ->
+    [
+      Obs.Event.Session_aborted
+        {
+          node;
+          peer = peer dst;
+          generation;
+          reason =
+            (match reason with
+            | Stalled -> Obs.Event.Stalled
+            | Timed_out -> Obs.Event.Timed_out);
+        };
+    ]
+  | Blocks_served { dst; blocks } ->
+    List.map
+      (fun h ->
+        Obs.Event.Block
+          { node; phase = Obs.Event.Sent; block = h; peer = Some (peer dst) })
+      blocks
+  | Redundant_received { from; blocks } ->
+    List.map
+      (fun h ->
+        Obs.Event.Block_redundant { node; block = h; peer = Some (peer from) })
+      blocks
+  | Peer_advertised { from; hashes } ->
+    [
+      Obs.Event.Blocks_advertised
+        { node; peer = peer from; hashes = List.length hashes };
+    ]
+  (* The announcement is the trace's root span; the responder's serve
+     span parents under it, stitching the exchange across nodes. *)
+  | Trace_context_sent { trace; span; dst = _; generation = _ } ->
+    [
+      Obs.Event.Span
+        {
+          node;
+          trace;
+          span;
+          parent = None;
+          name = "session.announce";
+          dur_ms = 0.;
+        };
+    ]
+  | Trace_context_received { trace; span; from = _ } ->
+    [ session_span ~node ~trace ~parent:span ~name:"session.serve" ~dur_ms:0. ]
+  | Request_suppressed _ | Reply_ignored _ | Decode_failed _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Equality and printing                                                *)
@@ -528,6 +480,9 @@ let event_equal a b =
     && Int.equal a.generation b.generation
     && Int.equal a.blocks b.blocks
     && Float.equal a.duration_ms b.duration_ms
+    && Option.equal
+         (fun (ta, sa) (tb, sb) -> String.equal ta tb && String.equal sa sb)
+         a.trace_ctx b.trace_ctx
   | Session_aborted a, Session_aborted b ->
     Int.equal a.dst b.dst
     && Int.equal a.generation b.generation
@@ -539,8 +494,6 @@ let event_equal a b =
     Int.equal a.dst b.dst && List.equal Hash_id.equal a.blocks b.blocks
   | Redundant_received a, Redundant_received b ->
     Int.equal a.from b.from && List.equal Hash_id.equal a.blocks b.blocks
-  | Blocks_suppressed a, Blocks_suppressed b ->
-    Int.equal a.dst b.dst && List.equal Hash_id.equal a.blocks b.blocks
   | Peer_advertised a, Peer_advertised b ->
     Int.equal a.from b.from && List.equal Hash_id.equal a.hashes b.hashes
   | Trace_context_sent a, Trace_context_sent b ->
@@ -555,8 +508,7 @@ let event_equal a b =
   | ( ( Session_started _ | Request_resent _ | Session_completed _
       | Session_aborted _ | Request_suppressed _ | Reply_ignored _
       | Decode_failed _ | Blocks_served _ | Redundant_received _
-      | Blocks_suppressed _ | Peer_advertised _ | Trace_context_sent _
-      | Trace_context_received _ ),
+      | Peer_advertised _ | Trace_context_sent _ | Trace_context_received _ ),
       _ ) ->
     false
 
@@ -580,7 +532,7 @@ let pp_event ppf = function
     Fmt.pf ppf "session-started(dst=%d gen=%d)" dst generation
   | Request_resent { dst; generation; attempt } ->
     Fmt.pf ppf "request-resent(dst=%d gen=%d attempt=%d)" dst generation attempt
-  | Session_completed { dst; generation; blocks; duration_ms } ->
+  | Session_completed { dst; generation; blocks; duration_ms; trace_ctx = _ } ->
     Fmt.pf ppf "session-completed(dst=%d gen=%d blocks=%d dur=%.0fms)" dst
       generation blocks duration_ms
   | Session_aborted { dst; generation; reason } ->
@@ -593,8 +545,6 @@ let pp_event ppf = function
     Fmt.pf ppf "blocks-served(dst=%d %d blocks)" dst (List.length blocks)
   | Redundant_received { from; blocks } ->
     Fmt.pf ppf "redundant-received(from=%d %d blocks)" from (List.length blocks)
-  | Blocks_suppressed { dst; blocks } ->
-    Fmt.pf ppf "blocks-suppressed(dst=%d %d blocks)" dst (List.length blocks)
   | Peer_advertised { from; hashes } ->
     Fmt.pf ppf "peer-advertised(from=%d %d hashes)" from (List.length hashes)
   | Trace_context_sent { dst; generation; trace; span } ->

@@ -39,7 +39,7 @@ type t = {
 let max_fed = 4096
 
 let create ~net ~nodes ?behaviors ?(mode = Reconcile.Naive)
-    ?(knowledge_cache = 0) ?(interval_ms = 1000.) ?(stale_after_ms = 5_000.)
+    ?(interval_ms = 1000.) ?(stale_after_ms = 5_000.)
     ?(session_timeout_ms = 30_000.) ?(trace_sample = 0.) ?tap ?obs () =
   let n = Array.length nodes in
   if Topology.size (Simnet.topo net) <> n then
@@ -70,7 +70,6 @@ let create ~net ~nodes ?behaviors ?(mode = Reconcile.Naive)
                        it is abandoned; "recent" scales with the cadence. *)
                     stale_after_ms = max stale_after_ms (2. *. interval_ms);
                     session_timeout_ms;
-                    knowledge_cache;
                     trace_sample;
                   }
                 ~user_id:(Node.user_id nodes.(i))
@@ -196,106 +195,27 @@ let apply_effect t i ~src (eff : Peer_engine.effect_) =
   | Peer_engine.Deliver blocks -> List.iter (feed t ?src i) blocks
   | Peer_engine.Session_done stats ->
     t.total_stats <- Reconcile.add_stats t.total_stats stats
-  | Peer_engine.Trace ev -> begin
+  | Peer_engine.Trace ev -> (
+    List.iter (emit t)
+      (Peer_engine.to_events ~node:(node_name i) ~peer:node_name ev);
     match ev with
-    | Peer_engine.Session_started { dst; generation } ->
-      emit t
-        (Obs.Event.Session_started
-           { node = node_name i; peer = node_name dst; generation })
-    | Peer_engine.Request_resent { dst; generation; attempt } ->
-      emit t
-        (Obs.Event.Request_resent
-           { node = node_name i; peer = node_name dst; generation; attempt })
-    | Peer_engine.Session_completed { dst; generation; blocks; duration_ms } ->
-      emit t
-        (Obs.Event.Session_completed
-           {
-             node = node_name i;
-             peer = node_name dst;
-             generation;
-             blocks;
-             duration_ms;
-           })
-    | Peer_engine.Session_aborted { dst; generation; reason } ->
-      emit t
-        (Obs.Event.Session_aborted
-           {
-             node = node_name i;
-             peer = node_name dst;
-             generation;
-             reason =
-               (match reason with
-               | Peer_engine.Stalled -> Obs.Event.Stalled
-               | Peer_engine.Timed_out -> Obs.Event.Timed_out);
-           });
+    | Peer_engine.Peer_advertised { hashes; _ } ->
+      (* The pending pool learns which buffered orphans some peer vouches
+         for, so eviction spares them. *)
+      List.iter (Node.note_advertised t.peers.(i).node_) hashes
+    | Peer_engine.Session_aborted { dst; reason; _ } ->
       Log.debug (fun m ->
           m "peer %d: abandoning %s session with %d" i
             (match reason with
             | Peer_engine.Stalled -> "stalled"
             | Peer_engine.Timed_out -> "timed-out")
             dst)
-    | Peer_engine.Blocks_served { dst; blocks } ->
-      List.iter
-        (fun h -> emit_block t i Obs.Event.Sent ~peer:(node_name dst) h)
-        blocks
-    | Peer_engine.Redundant_received { from; blocks } ->
-      List.iter
-        (fun h ->
-          emit t
-            (Obs.Event.Block_redundant
-               { node = node_name i; block = h; peer = Some (node_name from) }))
-        blocks
-    | Peer_engine.Blocks_suppressed { dst; blocks } ->
-      emit t
-        (Obs.Event.Blocks_suppressed
-           {
-             node = node_name i;
-             peer = node_name dst;
-             blocks = List.length blocks;
-           })
-    | Peer_engine.Peer_advertised { from; hashes } ->
-      (* Advertisement evidence flows two ways: the pending pool learns
-         which buffered orphans some peer vouches for (eviction spares
-         them), and the trace counts the hashes. *)
-      List.iter (Node.note_advertised t.peers.(i).node_) hashes;
-      emit t
-        (Obs.Event.Blocks_advertised
-           {
-             node = node_name i;
-             peer = node_name from;
-             hashes = List.length hashes;
-           })
-    (* Sampled sessions surface as instant spans: the initiator's
-       announcement opens the trace, the responder's serve span parents
-       under the announced ids — so a simulated fleet exercises the same
-       cross-node stitching the real daemons do. *)
-    | Peer_engine.Trace_context_sent { dst = _; generation = _; trace; span } ->
-      emit t
-        (Obs.Event.Span
-           {
-             node = node_name i;
-             trace;
-             span;
-             parent = None;
-             name = "session.announce";
-             dur_ms = 0.;
-           })
-    | Peer_engine.Trace_context_received { from = _; trace; span } ->
-      emit t
-        (Obs.Event.Span
-           {
-             node = node_name i;
-             trace;
-             span =
-               Obs.Span.derive ~trace ~node:(node_name i) ~name:"session.serve";
-             parent = Some span;
-             name = "session.serve";
-             dur_ms = 0.;
-           })
-    | Peer_engine.Request_suppressed _ | Peer_engine.Reply_ignored _
-    | Peer_engine.Decode_failed _ ->
-      ()
-  end
+    | Peer_engine.Session_started _ | Peer_engine.Request_resent _
+    | Peer_engine.Session_completed _ | Peer_engine.Request_suppressed _
+    | Peer_engine.Reply_ignored _ | Peer_engine.Decode_failed _
+    | Peer_engine.Blocks_served _ | Peer_engine.Redundant_received _
+    | Peer_engine.Trace_context_sent _ | Peer_engine.Trace_context_received _ ->
+      ())
 
 let step t i input =
   let p = t.peers.(i) in

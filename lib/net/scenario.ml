@@ -24,7 +24,7 @@ let make_signer kind i =
   | Mss h -> Signer.mss ~height:h ~seed:(Printf.sprintf "peer-seed-%d" i) ()
 
 let build ?(seed = 1L) ?(link = Link.default) ?behaviors
-    ?(mode = Reconcile.Naive) ?knowledge_cache ?(interval_ms = 1000.)
+    ?(mode = Reconcile.Naive) ?(interval_ms = 1000.)
     ?stale_after_ms ?session_timeout_ms ?trace_sample ?tap ?obs
     ?(signer = Oracle) ?role_of ?(init_crdts = []) ~topo () =
   let n = Topology.size topo in
@@ -64,7 +64,7 @@ let build ?(seed = 1L) ?(link = Link.default) ?behaviors
   in
   Simnet.set_obs net obs;
   let gossip =
-    Gossip.create ~net ~nodes ?behaviors ~mode ?knowledge_cache ~interval_ms
+    Gossip.create ~net ~nodes ?behaviors ~mode ~interval_ms
       ?stale_after_ms ?session_timeout_ms ?trace_sample ?tap ~obs ()
   in
   Array.iteri (fun i _ -> Gossip.receive gossip i genesis) nodes;

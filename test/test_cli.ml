@@ -741,6 +741,42 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* Journals outlive the code that wrote them: a trace.jsonl from a build
+   that still had the per-peer knowledge cache carries
+   "blocks-suppressed" lines. Replay skips the retired kind and keeps
+   every other line, and the CLI's replay commands succeed on it. *)
+let old_journal_replays () =
+  let st = init "oldj" in
+  let dir = st.Node_store.dir in
+  let node = Node_store.node_name st in
+  let path = Filename.concat dir "trace.jsonl" in
+  let before = List.length (Node_store.load_trace ~dir) in
+  let old_lines =
+    Printf.sprintf
+      {|{"t":1000,"sub":"gossip","ev":"blocks-suppressed","node":"%s","peer":"127.0.0.1:7001","blocks":3}
+{"t":1001,"sub":"session","ev":"completed","node":"%s","peer":"127.0.0.1:7001","gen":1,"blocks":0,"dur_ms":4.5}
+|}
+      node node
+  in
+  Out_channel.with_open_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
+    (fun oc -> Out_channel.output_string oc old_lines);
+  check_i "retired kind skipped, the rest replayed" (before + 1)
+    (List.length (Node_store.load_trace ~dir));
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/vegvisir_cli.exe"
+  in
+  let run args =
+    let out = Filename.concat dir "cli.out" in
+    let code = Sys.command (Filename.quote_command cli ~stdout:out args) in
+    (code, read_bin out)
+  in
+  let code, stats = run [ "stats"; "--dir"; dir ] in
+  check_i "vv stats exits 0" 0 code;
+  check_b "stats replays the kept line" true (contains stats "session.completed");
+  let code, health = run [ "health"; "--dir"; dir ] in
+  check_i "vv health exits 0" 0 code;
+  check_b "health renders a report" true (String.length health > 0)
+
 (* The ["dials"] array of a /health body, as label strings. *)
 let dials_of_health body =
   let key = "\"dials\":[" in
@@ -1173,7 +1209,7 @@ let wheel_fires_exactly_at_now () =
    interleaving, every sweep returns exactly the armed timers due at or
    before now, earliest deadline first, ties in schedule order. *)
 let wheel_interleaved_qcheck =
-  QCheck.Test.make ~count:300 ~name:"interleaved add/fire matches oracle"
+  QCheck.Test.make ~long_factor:100 ~count:300 ~name:"interleaved add/fire matches oracle"
     QCheck.(list (pair bool (int_bound 20)))
     (fun ops ->
       let w = ref Timer_wheel.empty in
@@ -1277,6 +1313,7 @@ let () =
           Alcotest.test_case "SIGKILL crash safety" `Quick crash_safety;
           Alcotest.test_case "live socket sync" `Quick live_sync;
           Alcotest.test_case "batch ancestry recovery" `Quick recover_ancestry;
+          Alcotest.test_case "old journal replays" `Quick old_journal_replays;
         ] );
       ( "timer-wheel",
         [

@@ -1279,7 +1279,7 @@ let witness_shrunk_script () =
 let qcheck_tests =
   let open QCheck in
   [
-    Test.make ~name:"random DAG pairs reconcile to equality" ~count:30
+    Test.make ~long_factor:100 ~name:"random DAG pairs reconcile to equality" ~count:30
       (pair (list_of_size Gen.(0 -- 12) (int_range 0 2)) int64)
       (fun (script, seed) ->
         (* Two replicas apply random appends/syncs; at the end a mutual
@@ -1311,7 +1311,7 @@ let qcheck_tests =
         Node.receive_all nb ~now:(ts 2_000_000) (Dag.topo_order mb);
         Hash_id.Set.equal (Dag.frontier (Node.dag na)) (Dag.frontier (Node.dag nb))
         && Csm.converged (Node.csm na) (Node.csm nb));
-    Test.make ~name:"topo_order always lists parents first" ~count:30
+    Test.make ~long_factor:100 ~name:"topo_order always lists parents first" ~count:30
       (list_of_size Gen.(0 -- 15) (int_range 0 9))
       (fun picks ->
         (* Random DAG: each new block picks a random subset of current
@@ -1339,7 +1339,7 @@ let qcheck_tests =
             Hashtbl.replace seen b.Block.hash ();
             ok)
           order);
-    Test.make ~name:"level frontier is monotone in level" ~count:30
+    Test.make ~long_factor:100 ~name:"level frontier is monotone in level" ~count:30
       (list_of_size Gen.(0 -- 10) (int_range 0 5))
       (fun picks ->
         let dag = ref (dag_with_genesis ()) in
@@ -1362,7 +1362,7 @@ let qcheck_tests =
              && check (n + 1)
         in
         check 1);
-    Test.make ~name:"incremental topo order == fresh Kahn (byte-identical)"
+    Test.make ~long_factor:100 ~name:"incremental topo order == fresh Kahn (byte-identical)"
       ~count:50
       (list_of_size Gen.(0 -- 25) (int_range 0 30))
       (fun script ->
@@ -1375,11 +1375,11 @@ let qcheck_tests =
         match Dag.of_string img with
         | None -> false
         | Some dag' -> String.equal img (Dag.to_string dag'));
-    Test.make ~name:"incremental witness index vs descendant-BFS oracle"
+    Test.make ~long_factor:100 ~name:"incremental witness index vs descendant-BFS oracle"
       ~count:50
       (list_of_size Gen.(0 -- 25) (int_range 0 30))
       witness_index_agrees;
-    Test.make ~name:"below vs per-hash ancestors-union oracle" ~count:50
+    Test.make ~long_factor:100 ~name:"below vs per-hash ancestors-union oracle" ~count:50
       (pair
          (list_of_size Gen.(0 -- 25) (int_range 0 30))
          (list_of_size Gen.(0 -- 4) (int_range 0 30)))
@@ -1403,7 +1403,7 @@ let qcheck_tests =
         && Hash_id.Set.equal
              (Dag.below dag [ genesis.Block.hash ])
              (Dag.Oracle.below dag [ genesis.Block.hash ]));
-    Test.make ~name:"reconcile messages survive the wire" ~count:200 int64
+    Test.make ~long_factor:100 ~name:"reconcile messages survive the wire" ~count:200 int64
       (fun seed ->
         (* Every constructor: decode (encode m) = m, re-encoding is
            byte-identical, message_size agrees with the framed length,
@@ -1578,5 +1578,5 @@ let () =
           Alcotest.test_case "csm rebuild" `Quick csm_rebuild_equals_incremental;
           Alcotest.test_case "decoder fuzz" `Quick decoder_fuzz;
         ] );
-      ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
+      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -476,7 +476,7 @@ let convergence_tests =
   let open QCheck in
   List.map
     (fun (name, kind) ->
-      Test.make
+      Test.make ~long_factor:100
         ~name:(Printf.sprintf "%s: shuffled op orders converge" name)
         ~count:60
         (pair (list_of_size Gen.(1 -- 25) int) int64)
@@ -503,17 +503,17 @@ let merge_law_tests =
           (Instance.create spec) (ops_of_ints kind ints)
       in
       [
-        Test.make ~name:(name ^ ": merge commutative") ~count:40
+        Test.make ~long_factor:100 ~name:(name ^ ": merge commutative") ~count:40
           (pair (list_of_size Gen.(0 -- 15) int) (list_of_size Gen.(0 -- 15) int))
           (fun (xs, ys) ->
             let a = state_of xs and b = state_of ys in
             Instance.equal (Instance.merge a b) (Instance.merge b a));
-        Test.make ~name:(name ^ ": merge idempotent") ~count:40
+        Test.make ~long_factor:100 ~name:(name ^ ": merge idempotent") ~count:40
           (list_of_size Gen.(0 -- 15) int)
           (fun xs ->
             let a = state_of xs in
             Instance.equal (Instance.merge a a) a);
-        Test.make ~name:(name ^ ": merge associative") ~count:40
+        Test.make ~long_factor:100 ~name:(name ^ ": merge associative") ~count:40
           (triple (list_of_size Gen.(0 -- 10) int)
              (list_of_size Gen.(0 -- 10) int)
              (list_of_size Gen.(0 -- 10) int))
@@ -522,7 +522,7 @@ let merge_law_tests =
             Instance.equal
               (Instance.merge a (Instance.merge b c))
               (Instance.merge (Instance.merge a b) c));
-        Test.make ~name:(name ^ ": merge with empty is identity") ~count:40
+        Test.make ~long_factor:100 ~name:(name ^ ": merge with empty is identity") ~count:40
           (list_of_size Gen.(0 -- 15) int)
           (fun xs ->
             let a = state_of xs in
@@ -556,13 +556,13 @@ let value_prop_tests =
           (min n 6))
   in
   [
-    Test.make ~name:"value encode/decode roundtrip" ~count:200
+    Test.make ~long_factor:100 ~name:"value encode/decode roundtrip" ~count:200
       (make ~print:(Fmt.str "%a" Value.pp) value_gen)
       (fun v ->
         match Value.of_string (Value.to_string v) with
         | Some v' -> Value.equal v v'
         | None -> false);
-    Test.make ~name:"value compare is consistent" ~count:100
+    Test.make ~long_factor:100 ~name:"value compare is consistent" ~count:100
       (triple (make value_gen) (make value_gen) (make value_gen))
       (fun (a, b, c) ->
         let sgn x = compare x 0 in
@@ -612,7 +612,7 @@ let () =
           Alcotest.test_case "permissions" `Quick store_permissions;
         ] );
       ( "convergence",
-        List.map (QCheck_alcotest.to_alcotest ~long:false) convergence_tests );
-      ("merge-laws", List.map (QCheck_alcotest.to_alcotest ~long:false) merge_law_tests);
-      ("value-props", List.map (QCheck_alcotest.to_alcotest ~long:false) value_prop_tests);
+        List.map QCheck_alcotest.to_alcotest convergence_tests );
+      ("merge-laws", List.map QCheck_alcotest.to_alcotest merge_law_tests);
+      ("value-props", List.map QCheck_alcotest.to_alcotest value_prop_tests);
     ]

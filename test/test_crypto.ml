@@ -364,17 +364,17 @@ let bloom_serialization () =
 let qcheck_tests =
   let open QCheck in
   [
-    Test.make ~name:"hex roundtrip" ~count:200
+    Test.make ~long_factor:100 ~name:"hex roundtrip" ~count:200
       (string_of_size Gen.(0 -- 64))
       (fun s -> String.equal (Hex.decode (Hex.encode s)) s);
-    Test.make ~name:"sha256 incremental = one-shot" ~count:100
+    Test.make ~long_factor:100 ~name:"sha256 incremental = one-shot" ~count:100
       (pair (string_of_size Gen.(0 -- 300)) (string_of_size Gen.(0 -- 300)))
       (fun (a, b) ->
         let ctx = Sha256.init () in
         Sha256.feed ctx a;
         Sha256.feed ctx b;
         String.equal (Sha256.finalize ctx) (Sha256.digest (a ^ b)));
-    Test.make ~name:"merkle path verifies for every leaf" ~count:60
+    Test.make ~long_factor:100 ~name:"merkle path verifies for every leaf" ~count:60
       (list_of_size Gen.(1 -- 33) (string_of_size Gen.(0 -- 8)))
       (fun leaves ->
         let t = Merkle.build leaves in
@@ -383,26 +383,26 @@ let qcheck_tests =
             Merkle.verify_path ~root:(Merkle.root t) ~leaf:(List.nth leaves i)
               (Merkle.path t i))
           (List.init (List.length leaves) Fun.id));
-    Test.make ~name:"wots verifies arbitrary messages" ~count:25
+    Test.make ~long_factor:100 ~name:"wots verifies arbitrary messages" ~count:25
       (string_of_size Gen.(0 -- 100))
       (fun msg ->
         let p = Wots.params () in
         let sk, pk = Wots.derive p ~seed:"prop" in
         Wots.verify p pk msg (Wots.sign sk msg));
-    Test.make ~name:"sealed box roundtrips" ~count:60
+    Test.make ~long_factor:100 ~name:"sealed box roundtrips" ~count:60
       (pair (string_of_size Gen.(0 -- 200)) (string_of_size Gen.(0 -- 20)))
       (fun (pt, nonce) ->
         let key = Sha256.digest "prop-key" in
         match Sealed_box.decrypt ~key (Sealed_box.encrypt ~key ~nonce pt) with
         | Some pt' -> String.equal pt pt'
         | None -> false);
-    Test.make ~name:"bloom has no false negatives" ~count:50
+    Test.make ~long_factor:100 ~name:"bloom has no false negatives" ~count:50
       (list_of_size Gen.(0 -- 60) (string_of_size Gen.(1 -- 16)))
       (fun elems ->
         let b = Bloom.create ~expected:(max 1 (List.length elems)) ~fp_rate:0.01 in
         List.iter (Bloom.add b) elems;
         List.for_all (Bloom.mem b) elems);
-    Test.make ~name:"rng int respects bound" ~count:200
+    Test.make ~long_factor:100 ~name:"rng int respects bound" ~count:200
       (pair int64 (int_range 1 1_000_000))
       (fun (seed, bound) ->
         let rng = Rng.create seed in
@@ -466,5 +466,5 @@ let () =
           Alcotest.test_case "tamper" `Quick sealed_box_tamper;
           Alcotest.test_case "empty and long" `Quick sealed_box_empty_and_long;
         ] );
-      ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
+      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

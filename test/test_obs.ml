@@ -299,7 +299,7 @@ let span_of_event_fold () =
 (* Property: a capacity-bounded collector fed event by event always
    holds exactly the last [capacity] spans of the of_events oracle. *)
 let span_collector_matches_oracle =
-  QCheck.Test.make ~count:200 ~name:"span collector = of_events oracle suffix"
+  QCheck.Test.make ~long_factor:100 ~count:200 ~name:"span collector = of_events oracle suffix"
     QCheck.(
       pair (int_range 1 8)
         (list_of_size Gen.(int_range 0 60) (pair (int_bound 3) (int_bound 6))))
@@ -541,6 +541,23 @@ let fleet_trace_sampling () =
         check_s "serve parents on the announced span" an.Span.span
           (Option.get sv.Span.parent))
     serves;
+  (* Both hosts share one engine-to-telemetry translation, so a
+     simulated fleet closes each traced session with the same timed
+     exchange span a daemon journals, parented on the announced root. *)
+  let exchanges =
+    List.filter (fun s -> String.equal s.Span.name "session.exchange") spans
+  in
+  check_b "exchange spans emitted" true (exchanges <> []);
+  List.iter
+    (fun (ex : Span.t) ->
+      check_b "exchange span is timed" true (ex.Span.dur_ms > 0.);
+      check_b "exchange parents on an announce or serve span of its trace" true
+        (List.exists
+           (fun (p : Span.t) ->
+             String.equal p.Span.trace ex.Span.trace
+             && Option.equal String.equal (Some p.Span.span) ex.Span.parent)
+           (announces @ serves)))
+    exchanges;
   (* Ids are hash-derived, never random: the same seed reproduces the
      span stream byte for byte. *)
   check_s "same seed, identical span ids" (Span.render_json spans)
@@ -665,7 +682,7 @@ let monitor_divergence_sampling () =
 (* Property: the monitor's streaming convergence lag equals an oracle
    that recomputes holdings sets from scratch at every step. *)
 let monitor_lag_matches_oracle =
-  QCheck.Test.make ~count:200 ~name:"monitor lag = oracle recomputation"
+  QCheck.Test.make ~long_factor:100 ~count:200 ~name:"monitor lag = oracle recomputation"
     QCheck.(
       pair
         (list_of_size Gen.(int_range 1 40) (pair (int_bound 4) (int_bound 1)))
