@@ -19,7 +19,11 @@
                                              @bench-check drift gate)
      dune exec bench/main.exe -- store-micro M17 store-save rows; exits 1
                                              when the 10k/1k ratio
-                                             exceeds its bound *)
+                                             exceeds its bound
+     dune exec bench/main.exe -- core-micro  M1-M3 rows to BENCH_core.json;
+                                             exits 1 when mss-sign /
+                                             mss-verify exceeds its
+                                             bound *)
 
 open Bechamel
 open Toolkit
@@ -34,21 +38,6 @@ module Obs = Vegvisir_obs
 
 let payload_64 = String.make 64 'x'
 let payload_4k = String.make 4096 'x'
-
-let wots_params = Crypto.Wots.params ()
-let wots_sk, wots_pk = Crypto.Wots.derive wots_params ~seed:"bench-wots"
-let wots_sig = Crypto.Wots.sign wots_sk "bench message"
-
-let mss_pk = snd (Crypto.Mss.generate ~height:8 ~seed:"bench-mss-verify" ())
-
-let mss_sig =
-  let sk, _ = Crypto.Mss.generate ~height:8 ~seed:"bench-mss-verify" () in
-  Crypto.Mss.sign sk "bench message"
-
-(* A fresh exhaustible key per run would distort the numbers; signing is
-   benchmarked over a large key consumed leaf by leaf. *)
-let mss_signing_key =
-  fst (Crypto.Mss.generate ~height:14 ~seed:"bench-mss-sign" ())
 
 let signer = V.Signer.oracle ~signature_size:64 ~id:"bench" ()
 let cert = V.Certificate.self_signed ~signer ~role:"ca"
@@ -105,7 +94,22 @@ let value_raw = Value.to_string value_sample
 
 let stage = Staged.stage
 
-let tests =
+(* M1-M3, the crypto and block layer (snapshotted to BENCH_core.json).
+   The keys are built on demand, not at start-up: the signing key holds
+   2^14 leaves, so that no run of the sign leg can exhaust it (a fresh
+   exhaustible key per run would distort the numbers), and its key
+   generation is seconds that the other modes need not pay. *)
+let core_tests () =
+  let wots_params = Crypto.Wots.params () in
+  let wots_sk, wots_pk = Crypto.Wots.derive wots_params ~seed:"bench-wots" in
+  let wots_sig = Crypto.Wots.sign wots_sk "bench message" in
+  let mss_verify_key, mss_pk =
+    Crypto.Mss.generate ~height:8 ~seed:"bench-mss-verify" ()
+  in
+  let mss_sig = Crypto.Mss.sign mss_verify_key "bench message" in
+  let mss_signing_key =
+    fst (Crypto.Mss.generate ~height:14 ~seed:"bench-mss-sign" ())
+  in
   [
     Test.make_grouped ~name:"M1-sha256"
       [
@@ -136,6 +140,10 @@ let tests =
         Test.make ~name:"value-encode" (stage (fun () -> Value.to_string value_sample));
         Test.make ~name:"value-decode" (stage (fun () -> Value.of_string value_raw));
       ];
+  ]
+
+let tests =
+  [
     Test.make_grouped ~name:"M4-dag"
       [
         Test.make ~name:"add-block"
@@ -621,8 +629,20 @@ let print_rows rows =
       Printf.printf "  %-42s %14.1f ns/run   (r2=%.3f)\n" name ns r2)
     rows
 
-(* The instrumentation-overhead snapshot tracked across PRs: ops/sec is
-   derived from the OLS ns/run estimate, so no extra clock reads. *)
+(* One result row per line, the shape check_drift.exe scans for: ops/sec
+   is derived from the OLS ns/run estimate, so no extra clock reads. *)
+let output_rows oc rows =
+  List.iteri
+    (fun i (name, ns, r2) ->
+      if i > 0 then output_string oc ",";
+      Printf.fprintf oc
+        "\n    {\"name\": %s, \"ns_per_op\": %.1f, \"ops_per_sec\": %.0f, \
+         \"r2\": %.4f}"
+        (Obs.Event.json_string name)
+        ns (1e9 /. ns) r2)
+    rows
+
+(* The instrumentation-overhead snapshot tracked across PRs. *)
 let write_bench_obs ?(file = "BENCH_obs.json") rows =
   let oc = open_out file in
   Fun.protect
@@ -631,17 +651,28 @@ let write_bench_obs ?(file = "BENCH_obs.json") rows =
       output_string oc
         "{\n  \"benchmark\": \"M8-obs+M10-health+M14-live-health+M16-trace\",\n\
         \  \"results\": [";
-      List.iteri
-        (fun i (name, ns, r2) ->
-          if i > 0 then output_string oc ",";
-          Printf.fprintf oc
-            "\n    {\"name\": %s, \"ns_per_op\": %.1f, \"ops_per_sec\": %.0f, \
-             \"r2\": %.4f}"
-            (Obs.Event.json_string name)
-            ns (1e9 /. ns) r2)
-        rows;
+      output_rows oc rows;
       output_string oc "\n  ]\n}\n");
   Printf.printf "  (snapshot written to %s)\n" file
+
+(* The crypto-and-block snapshot tracked across PRs, with the in-run
+   ratio that the @bench-check gate holds (see run_core_micro). *)
+let sign_verify_bound = 2.0
+
+let write_bench_core ~sign_verify rows =
+  let oc = open_out "BENCH_core.json" in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc
+        "{\n  \"benchmark\": \"M1-sha256+M2-signatures+M3-blocks\",\n\
+        \  \"results\": [";
+      output_rows oc rows;
+      Printf.fprintf oc
+        "\n  ],\n  \"ratios\": [\n    {\"name\": \"mss-sign/mss-verify\", \
+         \"value\": %.2f, \"bound\": %.1f}\n  ]\n}\n"
+        sign_verify sign_verify_bound);
+  Printf.printf "  (snapshot written to BENCH_core.json)\n"
 
 (* The index-vs-oracle snapshot tracked across PRs. Speedups pair each
    indexed leg with its naive recomputation at the same DAG size. *)
@@ -992,6 +1023,30 @@ let run_store_micro () =
     (if ok then "ok" else "REGRESSED");
   ok
 
+(* M1-M3 with the in-run ratio gate: with the leaf public keys cached,
+   signing walks about as many W-OTS chain steps as verifying does, so
+   mss-sign / mss-verify sits near 1. Recomputing a leaf's public key
+   per signature (67 x 15 more chain steps) puts it at 2.3-4. A ratio,
+   not absolute ns, so the gate means the same on any machine. *)
+let run_core_micro () =
+  print_endline "== core micro (M1-M3, ns per call, OLS estimate) ==";
+  let rows = List.concat_map estimate (core_tests ()) in
+  print_rows rows;
+  let find name =
+    List.find_map (fun (n, ns, _) -> if String.equal n name then Some ns else None) rows
+  in
+  let sign_verify =
+    match (find "M2-signatures/mss-sign", find "M2-signatures/mss-verify") with
+    | Some sign, Some verify -> sign /. verify
+    | _ -> nan
+  in
+  let ok = sign_verify <= sign_verify_bound in
+  Printf.printf "  mss-sign / mss-verify = %.2f (bound %.1f) %s\n" sign_verify
+    sign_verify_bound
+    (if ok then "ok" else "REGRESSED");
+  write_bench_core ~sign_verify rows;
+  ok
+
 let run_obs_micro () =
   print_endline "== obs micro (ns per call, OLS estimate) ==";
   let rows =
@@ -1011,6 +1066,7 @@ let run_sync_micro () =
 
 let run_micro () =
   print_endline "== Micro-benchmarks (ns per call, OLS estimate) ==";
+  ignore (run_core_micro () : bool);
   List.iter (fun test -> print_rows (estimate test)) tests;
   let obs_rows =
     estimate obs_tests @ estimate health_tests @ estimate live_tests
@@ -1045,6 +1101,7 @@ let () =
     exit 0
   end;
   if List.mem "store-micro" args then exit (if run_store_micro () then 0 else 1);
+  if List.mem "core-micro" args then exit (if run_core_micro () then 0 else 1);
   let micro_only = List.mem "micro" args in
   let experiments_only = List.mem "experiments" args in
   if not experiments_only then run_micro ();

@@ -3,6 +3,7 @@ exception Exhausted
 type secret_key = {
   p : Wots.params;
   seed : string;
+  leaf_pks : string array; (* W-OTS public key of every leaf *)
   tree : Merkle.tree;
   mutable next : int;
 }
@@ -23,12 +24,10 @@ let generate ?(chunk_bits = 4) ~height ~seed () =
   let p = Wots.params ~chunk_bits () in
   let n = 1 lsl height in
   let leaf_pks =
-    List.init n (fun i ->
-        let _, pk = Wots.derive p ~seed:(leaf_seed seed i) in
-        pk)
+    Array.init n (fun i -> snd (Wots.derive p ~seed:(leaf_seed seed i)))
   in
-  let tree = Merkle.build leaf_pks in
-  ({ p; seed; tree; next = 0 }, Merkle.root tree)
+  let tree = Merkle.build (Array.to_list leaf_pks) in
+  ({ p; seed; leaf_pks; tree; next = 0 }, Merkle.root tree)
 
 let capacity sk = Merkle.size sk.tree
 let remaining sk = capacity sk - sk.next
@@ -44,13 +43,30 @@ let sign sk msg =
   if sk.next >= capacity sk then raise Exhausted;
   let i = sk.next in
   sk.next <- i + 1;
-  let ots_sk, leaf_pk = Wots.derive sk.p ~seed:(leaf_seed sk.seed i) in
-  { index = i; leaf_pk; ots = Wots.sign ots_sk msg; path = Merkle.path sk.tree i }
+  let ots_sk = Wots.derive_secret sk.p ~seed:(leaf_seed sk.seed i) in
+  {
+    index = i;
+    leaf_pk = sk.leaf_pks.(i);
+    ots = Wots.sign ots_sk msg;
+    path = Merkle.path sk.tree i;
+  }
+
+(* The index is bound to the path: at level l the sibling sits on the
+   left exactly when bit l of the index is set, and no bit survives past
+   the root. Without this a relay could rewrite the index bytes and mint
+   a second valid signature (and block hash) for the same content. *)
+let rec index_matches_path i = function
+  | [] -> i = 0
+  | (_, side) :: rest ->
+    let odd = i land 1 = 1 in
+    (match side with `Left -> odd | `Right -> not odd)
+    && index_matches_path (i lsr 1) rest
 
 (* lint: parallel-safe *)
 let verify ?(chunk_bits = 4) pk msg s =
   let p = Wots.params ~chunk_bits () in
-  Wots.verify p s.leaf_pk msg s.ots
+  index_matches_path s.index s.path
+  && Wots.verify p s.leaf_pk msg s.ots
   && Merkle.verify_path ~root:pk ~leaf:s.leaf_pk s.path
 
 (* Wire layout: u32 index | 32-byte leaf pk | W-OTS chains | path entries,

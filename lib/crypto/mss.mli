@@ -1,13 +1,29 @@
 (** Merkle signature scheme: many-time signatures from W-OTS one-time keys.
 
-    A key pair holds [2^height] W-OTS leaf key pairs, derived on demand
-    from a master seed; the public key is the Merkle root over the leaf
-    public keys. Each signature consumes one leaf and carries the leaf
-    index, the W-OTS signature, the leaf public key, and its Merkle
-    authentication path. Verification needs only the 32-byte root.
+    A key pair holds [2^height] W-OTS leaf key pairs derived from a
+    master seed (the secret halves are re-derived on demand); the public
+    key is the Merkle root over the leaf public keys. Each signature
+    consumes one leaf and carries the leaf index, the W-OTS signature,
+    the leaf public key, and its Merkle authentication path.
+    Verification needs only the 32-byte root.
 
     Signing is stateful: a key signs at most [2^height] messages and each
-    leaf is used once. {!sign} raises {!Exhausted} when no leaves remain. *)
+    leaf is used once. {!sign} raises {!Exhausted} when no leaves remain.
+
+    {b Leaf-key cache.} A secret key keeps every leaf's W-OTS public key
+    from key generation: 32 bytes of key data per leaf (about 48 bytes
+    with the string header and array slot), so 4 KB of keys at
+    [height = 7], 16 KB at [9], 32 MB at the maximum [20]. Signing then
+    re-derives only the leaf's secret chain starts ({!Wots.derive_secret})
+    instead of recomputing its public key: that is [67 * 15] chain
+    steps, about 1,000 of the 1,570 compressions a signature would
+    otherwise cost.
+
+    {b Index binding.} A signature's leaf index is bound to its
+    authentication path: {!verify} requires [index < 2^|path|] and, at
+    level [l], a left-hand sibling exactly when bit [l] of [index] is
+    set. So the index bytes cannot be rewritten: a relayed block cannot
+    be re-encoded into a second valid block with another hash. *)
 
 exception Exhausted
 
@@ -21,12 +37,15 @@ val generate :
 (** [generate ~height ~seed ()] derives a key pair with [2^height] leaf
     keys from a (secret) seed. [height] must be in [0..20].
     Key generation performs [2^height] W-OTS key derivations, so keep
-    [height] modest in tests. *)
+    [height] modest in tests. The key holds all [2^height] leaf public
+    keys (see the leaf-key cache above). *)
 
 val sign : secret_key -> string -> signature
 (** Consumes the next unused leaf. @raise Exhausted when none remain. *)
 
 val verify : ?chunk_bits:int -> public_key -> string -> signature -> bool
+(** [verify pk msg s] checks the index binding, the W-OTS signature under
+    the leaf key, and the leaf's path to [pk]. *)
 
 val remaining : secret_key -> int
 (** Leaves not yet consumed. *)

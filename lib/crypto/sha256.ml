@@ -16,6 +16,129 @@ let k =
      0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
+(* The initial state, as literal stores: the kernel writes it into a
+   caller-owned array, so no top-level array is ever copied or shared. *)
+let reset h =
+  h.(0) <- 0x6a09e667;
+  h.(1) <- 0xbb67ae85;
+  h.(2) <- 0x3c6ef372;
+  h.(3) <- 0xa54ff53a;
+  h.(4) <- 0x510e527f;
+  h.(5) <- 0x9b05688c;
+  h.(6) <- 0x1f83d9ab;
+  h.(7) <- 0x5be0cd19
+
+(* Rotations work on [x lor (x lsl 32)]: the word doubled up, so one
+   right shift of it is a 32-bit rotation in the low 32 bits (bit 63,
+   which an OCaml int lacks, is never needed for rotations up to 31).
+   The Σ/σ results keep garbage above bit 31. Int arithmetic is exact
+   modulo 2^63, so the low 32 bits of any sum are still right: each new
+   state and schedule word is masked once, where the sum is taken. *)
+let[@inline] big_sigma0 x =
+  let xx = x lor (x lsl 32) in
+  (xx lsr 2) lxor (xx lsr 13) lxor (xx lsr 22)
+
+let[@inline] big_sigma1 x =
+  let xx = x lor (x lsl 32) in
+  (xx lsr 6) lxor (xx lsr 11) lxor (xx lsr 25)
+
+let[@inline] small_sigma0 x =
+  let xx = x lor (x lsl 32) in
+  (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let xx = x lor (x lsl 32) in
+  (xx lsr 17) lxor (xx lsr 19) lxor (x lsr 10)
+
+(* [compress h w b off] absorbs the 64-byte block of [b] at [off] into
+   the state [h] (8 words), using [w] (64 words) as schedule scratch.
+   Bounds are checked once here; every access below is in range. *)
+let compress h w b off =
+  if off < 0 || off > Bytes.length b - 64 || Array.length h < 8
+     || Array.length w < 64
+  then invalid_arg "Sha256.compress";
+  for i = 0 to 15 do
+    let j = off + (4 * i) in
+    Array.unsafe_set w i
+      ((Char.code (Bytes.unsafe_get b j) lsl 24)
+      lor (Char.code (Bytes.unsafe_get b (j + 1)) lsl 16)
+      lor (Char.code (Bytes.unsafe_get b (j + 2)) lsl 8)
+      lor Char.code (Bytes.unsafe_get b (j + 3)))
+  done;
+  for i = 16 to 63 do
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16)
+       + small_sigma0 (Array.unsafe_get w (i - 15))
+       + Array.unsafe_get w (i - 7)
+       + small_sigma1 (Array.unsafe_get w (i - 2)))
+      land mask32)
+  done;
+  let a = ref (Array.unsafe_get h 0)
+  and b = ref (Array.unsafe_get h 1)
+  and c = ref (Array.unsafe_get h 2)
+  and d = ref (Array.unsafe_get h 3)
+  and e = ref (Array.unsafe_get h 4)
+  and f = ref (Array.unsafe_get h 5)
+  and g = ref (Array.unsafe_get h 6)
+  and hh = ref (Array.unsafe_get h 7) in
+  (* Eight rounds per pass with the variable roles rotated by one each
+     round, so a round writes two variables (the new e into the old d,
+     the new a into the old h) instead of shifting all eight. *)
+  let i = ref 0 in
+  while !i < 64 do
+    let r = !i in
+    let t = !hh + big_sigma1 !e + (!g lxor (!e land (!f lxor !g)))
+            + Array.unsafe_get k r + Array.unsafe_get w r in
+    d := (!d + t) land mask32;
+    hh := (t + big_sigma0 !a + (!a land !b lor (!c land (!a lor !b)))) land mask32;
+    let t = !g + big_sigma1 !d + (!f lxor (!d land (!e lxor !f)))
+            + Array.unsafe_get k (r + 1) + Array.unsafe_get w (r + 1) in
+    c := (!c + t) land mask32;
+    g := (t + big_sigma0 !hh + (!hh land !a lor (!b land (!hh lor !a)))) land mask32;
+    let t = !f + big_sigma1 !c + (!e lxor (!c land (!d lxor !e)))
+            + Array.unsafe_get k (r + 2) + Array.unsafe_get w (r + 2) in
+    b := (!b + t) land mask32;
+    f := (t + big_sigma0 !g + (!g land !hh lor (!a land (!g lor !hh)))) land mask32;
+    let t = !e + big_sigma1 !b + (!d lxor (!b land (!c lxor !d)))
+            + Array.unsafe_get k (r + 3) + Array.unsafe_get w (r + 3) in
+    a := (!a + t) land mask32;
+    e := (t + big_sigma0 !f + (!f land !g lor (!hh land (!f lor !g)))) land mask32;
+    let t = !d + big_sigma1 !a + (!c lxor (!a land (!b lxor !c)))
+            + Array.unsafe_get k (r + 4) + Array.unsafe_get w (r + 4) in
+    hh := (!hh + t) land mask32;
+    d := (t + big_sigma0 !e + (!e land !f lor (!g land (!e lor !f)))) land mask32;
+    let t = !c + big_sigma1 !hh + (!b lxor (!hh land (!a lxor !b)))
+            + Array.unsafe_get k (r + 5) + Array.unsafe_get w (r + 5) in
+    g := (!g + t) land mask32;
+    c := (t + big_sigma0 !d + (!d land !e lor (!f land (!d lor !e)))) land mask32;
+    let t = !b + big_sigma1 !g + (!a lxor (!g land (!hh lxor !a)))
+            + Array.unsafe_get k (r + 6) + Array.unsafe_get w (r + 6) in
+    f := (!f + t) land mask32;
+    b := (t + big_sigma0 !c + (!c land !d lor (!e land (!c lor !d)))) land mask32;
+    let t = !a + big_sigma1 !f + (!hh lxor (!f land (!g lxor !hh)))
+            + Array.unsafe_get k (r + 7) + Array.unsafe_get w (r + 7) in
+    e := (!e + t) land mask32;
+    a := (t + big_sigma0 !b + (!b land !c lor (!d land (!b lor !c)))) land mask32;
+    i := r + 8
+  done;
+  Array.unsafe_set h 0 ((Array.unsafe_get h 0 + !a) land mask32);
+  Array.unsafe_set h 1 ((Array.unsafe_get h 1 + !b) land mask32);
+  Array.unsafe_set h 2 ((Array.unsafe_get h 2 + !c) land mask32);
+  Array.unsafe_set h 3 ((Array.unsafe_get h 3 + !d) land mask32);
+  Array.unsafe_set h 4 ((Array.unsafe_get h 4 + !e) land mask32);
+  Array.unsafe_set h 5 ((Array.unsafe_get h 5 + !f) land mask32);
+  Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land mask32);
+  Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land mask32)
+
+(* Writes the 8 state words big-endian into [b] at [off]. *)
+let store h b off =
+  for i = 0 to 7 do
+    Bytes.set_int32_be b (off + (4 * i)) (Int32.of_int h.(i))
+  done
+
+(* Writes the 64-bit big-endian bit length of an [n]-byte message. *)
+let put_length b off n = Bytes.set_int64_be b off (Int64.of_int (n * 8))
+
 type ctx = {
   h : int array; (* 8 state words *)
   buf : Bytes.t; (* 64-byte block buffer *)
@@ -25,71 +148,9 @@ type ctx = {
 }
 
 let init () =
-  {
-    h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
-
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
-
-let compress ctx block off =
-  let w = ctx.w in
-  for i = 0 to 15 do
-    let j = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block j) lsl 24)
-      lor (Char.code (Bytes.get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.get block (j + 3))
-  done;
-  for i = 16 to 63 do
-    let s0 =
-      let x = w.(i - 15) in
-      rotr x 7 lxor rotr x 18 lxor (x lsr 3)
-    and s1 =
-      let x = w.(i - 2) in
-      rotr x 17 lxor rotr x 19 lxor (x lsr 10)
-    in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask32
-  done;
-  let h = ctx.h in
-  let a = ref h.(0)
-  and b = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) land mask32 in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask32
-  done;
-  h.(0) <- (h.(0) + !a) land mask32;
-  h.(1) <- (h.(1) + !b) land mask32;
-  h.(2) <- (h.(2) + !c) land mask32;
-  h.(3) <- (h.(3) + !d) land mask32;
-  h.(4) <- (h.(4) + !e) land mask32;
-  h.(5) <- (h.(5) + !f) land mask32;
-  h.(6) <- (h.(6) + !g) land mask32;
-  h.(7) <- (h.(7) + !hh) land mask32
+  let h = Array.make 8 0 in
+  reset h;
+  { h; buf = Bytes.create 64; buf_len = 0; total = 0; w = Array.make 64 0 }
 
 let feed_bytes ctx b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
@@ -104,12 +165,12 @@ let feed_bytes ctx b off len =
     off := !off + take;
     len := !len - take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress ctx.h ctx.w ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   while !len >= 64 do
-    compress ctx b !off;
+    compress ctx.h ctx.w b !off;
     off := !off + 64;
     len := !len - 64
   done;
@@ -120,33 +181,22 @@ let feed_bytes ctx b off len =
 
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
+(* Padding (0x80, zeros, 64-bit big-endian bit length) is written into
+   the context's own block buffer: one extra compression when the
+   length no longer fits behind the buffered tail. *)
 let finalize ctx =
-  let total_bits = ctx.total * 8 in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\x00' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad
-      (pad_len + i)
-      (Char.chr ((total_bits lsr (8 * (7 - i))) land 0xff))
-  done;
-  (* Bypass the total counter: feed_bytes would keep counting. *)
-  let save_total = ctx.total in
-  feed_bytes ctx pad 0 (Bytes.length pad);
-  ctx.total <- save_total;
-  assert (ctx.buf_len = 0);
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  Bytes.fill buf (n + 1) (63 - n) '\x00';
+  if n >= 56 then begin
+    compress ctx.h ctx.w buf 0;
+    Bytes.fill buf 0 56 '\x00'
+  end;
+  put_length buf 56 ctx.total;
+  compress ctx.h ctx.w buf 0;
+  ctx.buf_len <- 0;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
-  done;
+  store ctx.h out 0;
   Bytes.unsafe_to_string out
 
 (* Digesting allocates a fresh ctx per call and shares nothing, so the
@@ -166,6 +216,32 @@ let digest_list parts =
   let ctx = init () in
   List.iter (feed ctx) parts;
   finalize ctx
+
+(* The padded message [tag ^ v] is laid out once; each step resets the
+   state, compresses the message's blocks and writes the digest back
+   over [v] in place. A tag of up to 23 bytes makes a one-block message,
+   so a step is exactly one compression. *)
+
+(* lint: parallel-safe *)
+let iterate ~tag v n =
+  if String.length v <> 32 || n < 0 then invalid_arg "Sha256.iterate";
+  let tl = String.length tag in
+  let len = tl + 32 in
+  let blocks = (len + 9 + 63) / 64 in
+  let msg = Bytes.make (64 * blocks) '\x00' in
+  Bytes.blit_string tag 0 msg 0 tl;
+  Bytes.blit_string v 0 msg tl 32;
+  Bytes.set msg len '\x80';
+  put_length msg ((64 * blocks) - 8) len;
+  let h = Array.make 8 0 and w = Array.make 64 0 in
+  for _ = 1 to n do
+    reset h;
+    for blk = 0 to blocks - 1 do
+      compress h w msg (64 * blk)
+    done;
+    store h msg tl
+  done;
+  Bytes.sub_string msg tl 32
 
 (* lint: parallel-safe *)
 let hmac ~key msg =

@@ -42,9 +42,7 @@ let chunks_of_digest p d =
   in
   Array.append msg_chunks cs_chunks
 
-let chain_step v = Sha256.digest_list [ "wots-chain"; v ]
-
-let rec chain v n = if n = 0 then v else chain (chain_step v) (n - 1)
+let chain v n = Sha256.iterate ~tag:"wots-chain" v n
 
 let public_of_keys p keys =
   let ctx = Sha256.init () in
@@ -55,12 +53,17 @@ let generate p rng =
   let keys = Array.init p.len (fun _ -> Rng.bytes rng 32) in
   ({ p; keys }, public_of_keys p keys)
 
+let derive_secret p ~seed =
+  {
+    p;
+    keys =
+      Array.init p.len (fun i ->
+          Sha256.digest_list [ "wots-sk"; seed; string_of_int i ]);
+  }
+
 let derive p ~seed =
-  let keys =
-    Array.init p.len (fun i ->
-        Sha256.digest_list [ "wots-sk"; seed; string_of_int i ])
-  in
-  ({ p; keys }, public_of_keys p keys)
+  let sk = derive_secret p ~seed in
+  (sk, public_of_keys p sk.keys)
 
 let sign sk msg =
   let p = sk.p in

@@ -32,6 +32,11 @@ val derive : params -> seed:string -> secret_key * public_key
 (** Deterministic key pair from a 32-byte seed: lets {!Mss} regenerate
     leaves on demand instead of storing them. *)
 
+val derive_secret : params -> seed:string -> secret_key
+(** The secret half of {!derive} alone: [len] hashes, where the public
+    key costs [len * chain_max] more chain steps. For a signer that
+    already holds the public key (an {!Mss} leaf). *)
+
 val sign : secret_key -> string -> signature
 val verify : params -> public_key -> string -> signature -> bool
 

@@ -848,6 +848,52 @@ let node_signer_exhaustion () =
   | Error Node.Signer_exhausted -> ()
   | _ -> Alcotest.fail "expected exhaustion"
 
+(* A relay rewrites the 4 leaf-index bytes at the head of a block's MSS
+   signature. The result decodes as a block with the same content and a
+   new hash; it must be rejected, not admitted as a second copy. *)
+let node_rejects_reindexed_signature () =
+  let ca = Signer.mss ~height:3 ~seed:"reindex-ca" () in
+  let cert = Certificate.self_signed ~signer:ca ~role:"ca" in
+  let g =
+    Node.genesis_block ~signer:ca ~cert ~timestamp:(ts 0)
+      ~extra:[ Transaction.create_crdt ~name:"log" log_spec ]
+      ()
+  in
+  let author = Node.create ~signer:ca ~cert () in
+  ignore (Node.receive author ~now:(ts 1) g);
+  let b =
+    match Node.append author ~now:(ts 10) [ add_tx "once" ] with
+    | Ok b -> b
+    | Error e -> Alcotest.failf "append: %a" Node.pp_append_error e
+  in
+  let raw = Block.to_string b and sg = b.Block.signature in
+  let at =
+    let rec find i =
+      if i + String.length sg > String.length raw then
+        Alcotest.fail "signature not found in the block encoding"
+      else if String.equal (String.sub raw i (String.length sg)) sg then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let forged = Bytes.of_string raw in
+  Bytes.set forged (at + 3) (Char.chr (Char.code raw.[at + 3] lxor 1));
+  let b' =
+    match Block.of_string (Bytes.to_string forged) with
+    | Some b' -> b'
+    | None -> Alcotest.fail "re-indexed block no longer decodes"
+  in
+  check_b "new identity" false (Block.equal b b');
+  let peer = Node.create ~signer:ca ~cert () in
+  ignore (Node.receive peer ~now:(ts 1) g);
+  (match Node.receive peer ~now:(ts 20) b with
+  | Node.Accepted -> ()
+  | r -> Alcotest.failf "honest block: %a" Node.pp_receive_result r);
+  (match Node.receive peer ~now:(ts 20) b' with
+  | Node.Rejected Validation.Bad_signature -> ()
+  | r -> Alcotest.failf "re-indexed block: %a" Node.pp_receive_result r);
+  check_i "one copy" 2 (Dag.cardinal (Node.dag peer))
+
 let node_prune_to () =
   let n = fresh_node bob_signer bob_cert in
   for i = 1 to 30 do
@@ -1569,6 +1615,8 @@ let () =
           Alcotest.test_case "frontier reining" `Quick node_append_reins_frontier;
           Alcotest.test_case "no genesis" `Quick node_no_genesis;
           Alcotest.test_case "signer exhaustion" `Quick node_signer_exhaustion;
+          Alcotest.test_case "re-indexed signature rejected" `Quick
+            node_rejects_reindexed_signature;
           Alcotest.test_case "prune_to" `Quick node_prune_to;
           Alcotest.test_case "key rotation" `Quick node_key_rotation;
         ] );

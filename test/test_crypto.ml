@@ -70,6 +70,58 @@ let sha_digest_list () =
     (hex (Sha256.digest "foobarbaz"))
     (hex (Sha256.digest_list [ "foo"; "bar"; "baz" ]))
 
+(* Every padding boundary at once: 131 digests of lengths 0..130 (two
+   full blocks plus change), hashed together. Captured from the
+   pre-unrolled kernel, so it pins the rewrite byte for byte. *)
+let sha_all_lengths () =
+  let all =
+    String.concat ""
+      (List.init 131 (fun i ->
+           Sha256.digest (String.init i (fun j -> Char.chr ((j * 7) land 0xff)))))
+  in
+  check_s "lengths 0..130"
+    "181f875e1cd08d0506e432f8bd3a3523f5d0d033b838f6578d7913a15552d895"
+    (hex (Sha256.digest all))
+
+let iterate_naive ~tag v n =
+  let rec go v n = if n = 0 then v else go (Sha256.digest_list [ tag; v ]) (n - 1) in
+  go v n
+
+(* Tags of 24 bytes and up spill the message into a second block. *)
+let iterate_multi_block () =
+  let v = Sha256.digest "seed" in
+  List.iter
+    (fun tl ->
+      let tag = String.make tl 't' in
+      List.iter
+        (fun n ->
+          check_s (Printf.sprintf "tag %d, %d steps" tl n)
+            (hex (iterate_naive ~tag v n))
+            (hex (Sha256.iterate ~tag v n)))
+        [ 0; 1; 5 ])
+    [ 23; 24; 55; 56; 64; 100 ];
+  Alcotest.check_raises "short v" (Invalid_argument "Sha256.iterate") (fun () ->
+      ignore (Sha256.iterate ~tag:"t" "short" 1));
+  Alcotest.check_raises "negative n" (Invalid_argument "Sha256.iterate")
+    (fun () -> ignore (Sha256.iterate ~tag:"t" v (-1)))
+
+(* The chain kernel's allocation is per call, never per step. *)
+let iterate_allocation_flat () =
+  let v = Sha256.digest "alloc" in
+  let words n =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Sha256.iterate ~tag:"wots-chain" v n));
+    Gc.minor_words () -. before
+  in
+  let one = words 1 in
+  List.iter
+    (fun n ->
+      check_b
+        (Printf.sprintf "%d steps allocate as much as 1 (%.0f words)" n one)
+        true
+        (Float.equal (words n) one))
+    [ 15; 1_000; 10_000 ]
+
 let hmac_vectors () =
   (* RFC 4231 test case 1 *)
   check_s "rfc4231 #1"
@@ -277,6 +329,57 @@ let mss_serialization () =
   | None -> Alcotest.fail "decode failed");
   check_b "garbage rejected" true (Mss.signature_of_string "short" = None)
 
+(* Captured from the implementation before the unrolled SHA-256 kernel
+   and the leaf-key cache landed: keys and signatures must not change by
+   a byte. A signature (2,279 bytes) is pinned by its SHA-256, which the
+   FIPS vectors above pin in turn. *)
+let golden_keys_and_signatures () =
+  let sk, pk = Mss.generate ~height:3 ~seed:"golden-mss" () in
+  check_s "mss public key"
+    "99c9b9feb80558447a8f7d9a831c2349c5ae258a2abc900e9159a7a35aea7a3c" (hex pk);
+  List.iteri
+    (fun i golden ->
+      let raw =
+        Mss.signature_to_string
+          (Mss.sign sk (Printf.sprintf "golden message %d" i))
+      in
+      check_i (Printf.sprintf "signature %d size" i) 2279 (String.length raw);
+      check_s (Printf.sprintf "signature %d digest" i) golden
+        (hex (Sha256.digest raw)))
+    [
+      "16c2e6f8c0c8f95fce6fa352e9fe5875e756a15ca77bfa8e3b5a6d7b9e63bc9c";
+      "59f0469701da3a62a4840bb8ac68fc2001a3cfc192a5ba9bcdb002a080afe161";
+    ];
+  let p = Wots.params () in
+  let wsk, wpk = Wots.derive p ~seed:"golden-wots" in
+  check_s "wots public key"
+    "662ef4625e58e7fa18ca90016a572d206d8e2d1d92ccf6d6a2be3ee345508b25" (hex wpk);
+  check_s "wots signature digest"
+    "633633adb8726a73ae4a8f37ff1ffcb6b47abf1a2d82bfe3dfb0b429dc808238"
+    (hex (Sha256.digest (Wots.signature_to_string (Wots.sign wsk "golden"))))
+
+(* The leaf index travels as 4 plain bytes: rewriting them must not
+   yield a second valid signature (a second block hash for one block). *)
+let mss_index_bound_to_path () =
+  let sk, pk = Mss.generate ~height:3 ~seed:"mss-index" () in
+  ignore (Mss.sign sk "burn leaf 0");
+  ignore (Mss.sign sk "burn leaf 1");
+  let raw = Mss.signature_to_string (Mss.sign sk "block") in
+  let with_index i =
+    let b = Bytes.of_string raw in
+    Bytes.set_int32_be b 0 (Int32.of_int i);
+    Mss.signature_of_string (Bytes.to_string b)
+  in
+  let verifies i =
+    match with_index i with
+    | Some s -> Mss.verify pk "block" s
+    | None -> Alcotest.fail "re-indexed signature no longer decodes"
+  in
+  check_b "honest index 2" true (verifies 2);
+  List.iter
+    (fun i -> check_b (Printf.sprintf "index %d rejected" i) false (verifies i))
+    [ 3; 0; 6; 2 + 8; 2 + 256; 0x7fffffff ]
+
 let mss_cross_key () =
   let sk1, _pk1 = Mss.generate ~height:2 ~seed:"k1" () in
   let _sk2, pk2 = Mss.generate ~height:2 ~seed:"k2" () in
@@ -374,6 +477,12 @@ let qcheck_tests =
         Sha256.feed ctx a;
         Sha256.feed ctx b;
         String.equal (Sha256.finalize ctx) (Sha256.digest (a ^ b)));
+    Test.make ~long_factor:100 ~name:"sha256 iterate = n-fold digest_list"
+      ~count:100
+      (triple (string_of_size Gen.(0 -- 23)) (string_of_size (Gen.return 32))
+         (int_range 0 40))
+      (fun (tag, v, n) ->
+        String.equal (Sha256.iterate ~tag v n) (iterate_naive ~tag v n));
     Test.make ~long_factor:100 ~name:"merkle path verifies for every leaf" ~count:60
       (list_of_size Gen.(1 -- 33) (string_of_size Gen.(0 -- 8)))
       (fun leaves ->
@@ -420,6 +529,10 @@ let () =
           Alcotest.test_case "million a" `Slow sha_long;
           Alcotest.test_case "incremental splits" `Quick sha_incremental;
           Alcotest.test_case "digest_list" `Quick sha_digest_list;
+          Alcotest.test_case "all padding lengths" `Quick sha_all_lengths;
+          Alcotest.test_case "iterate multi-block tags" `Quick iterate_multi_block;
+          Alcotest.test_case "iterate allocation flat" `Quick
+            iterate_allocation_flat;
           Alcotest.test_case "HMAC RFC 4231" `Quick hmac_vectors;
         ] );
       ( "rng",
@@ -453,6 +566,9 @@ let () =
           Alcotest.test_case "roundtrip + exhaustion" `Quick mss_roundtrip;
           Alcotest.test_case "serialization" `Quick mss_serialization;
           Alcotest.test_case "cross-key" `Quick mss_cross_key;
+          Alcotest.test_case "golden keys and signatures" `Quick
+            golden_keys_and_signatures;
+          Alcotest.test_case "index bound to path" `Quick mss_index_bound_to_path;
           Alcotest.test_case "height zero" `Quick mss_height_zero;
         ] );
       ( "bloom",
